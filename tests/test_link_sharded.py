@@ -113,19 +113,29 @@ def test_kg_pipeline_invariant_to_link_sharding(small_transcripts, tmp_path):
         pd.testing.assert_frame_equal(fb[name], fs[name]), name
 
 
-def test_resumable_with_sharded_index(small_transcripts, tmp_path):
-    """Resumable runner with link_shards: same edges/nodes as broadcast,
-    and a rerun skips all phases (index marker honored)."""
+def test_resumable_with_sharded_index(small_transcripts, tmp_path,
+                                      monkeypatch):
+    """Resumable runner with link_shards: same edges/nodes as broadcast on
+    both sides of the local gate (the sharded linker called in the driver,
+    and as a Ray actor pool), and a rerun skips all phases (index marker
+    honored)."""
     import pyarrow.parquet as pq
 
+    from vectrain_ray.pipelines import resume as R
     from vectrain_ray.pipelines.resume import run_kg_resumable
 
     inp = str(tmp_path / "in")
     rd.from_arrow(small_transcripts).write_parquet(inp)
     out_b = str(tmp_path / "out_broadcast")
     out_s = str(tmp_path / "out_sharded")
+    out_r = str(tmp_path / "out_sharded_ray")
     run_kg_resumable(inp, out_b, num_parts=2, link_shards=0)
     m1 = run_kg_resumable(inp, out_s, num_parts=2, link_shards=3)
+    assert m1["gate"]["p3"]["path"] == "local"
+    with monkeypatch.context() as mp:
+        mp.setattr(R, "LOCAL_MAX_ROWS", 0)
+        m_r = run_kg_resumable(inp, out_r, num_parts=2, link_shards=3)
+    assert m_r["gate"]["p3"]["path"] == "ray"
 
     def read(out, tbl):
         df = pq.read_table(f"{out}/{tbl}").to_pandas()
@@ -136,7 +146,9 @@ def test_resumable_with_sharded_index(small_transcripts, tmp_path):
             drop=True)
 
     for tbl in ("edges", "nodes"):
-        pd.testing.assert_frame_equal(read(out_b, tbl), read(out_s, tbl)), tbl
+        for out in (out_s, out_r):
+            pd.testing.assert_frame_equal(read(out_b, tbl), read(out, tbl),
+                                          obj=f"{tbl} ({out})")
 
     m2 = run_kg_resumable(inp, out_s, num_parts=2, link_shards=3)
     assert m2["skipped_p1"] == len(m1["p1_parts"]) and m2["skipped_p1"] > 0

@@ -45,6 +45,27 @@ def test_kill_and_resume_identical(transcripts_path, tmp_path):
         pd.testing.assert_frame_equal(a, b), table
 
 
+def test_kill_and_resume_identical_ray_path(transcripts_path, tmp_path,
+                                            monkeypatch):
+    """The kill point on phase 1's Ray path (LOCAL_MAX_ROWS at 0): the
+    injected crash after two commits resumes to the clean run's rows."""
+    from vectrain_ray.pipelines import resume as rz
+
+    monkeypatch.setattr(rz, "LOCAL_MAX_ROWS", 0)
+    clean = str(tmp_path / "clean")
+    killed = str(tmp_path / "killed")
+    run_kg_resumable(transcripts_path, clean, num_parts=4)
+    with pytest.raises(RuntimeError, match="injected kill"):
+        run_kg_resumable(transcripts_path, killed, num_parts=4,
+                         fail_after_phase1_parts=2)
+    m = run_kg_resumable(transcripts_path, killed, num_parts=4)
+    assert m["skipped_p1"] == 2
+    assert m["gate"]["p1"]["path"] == "ray"
+    for table in ("nodes", "edges", "triples"):
+        pd.testing.assert_frame_equal(_load(clean, table),
+                                      _load(killed, table))
+
+
 def test_second_run_skips_everything(transcripts_path, tmp_path):
     out = str(tmp_path / "twice")
     run_kg_resumable(transcripts_path, out, num_parts=4)
@@ -146,6 +167,9 @@ def test_resume_distributed_unsafe_gate(transcripts_path, tmp_path,
     and manifest counters to the driver-set path."""
     from vectrain_ray.pipelines import resume as rz
 
+    # every phase on Ray, so the forced gate reaches the distributed
+    # counter and the Ray phase-4 sinks
+    monkeypatch.setattr(rz, "LOCAL_MAX_ROWS", 0)
     out_a = str(tmp_path / "driver_path")
     m_a = run_kg_resumable(transcripts_path, out_a, num_parts=4)
 
@@ -217,6 +241,9 @@ def test_crash_in_deferred_commit_window_converges(transcripts_path,
         put=real_ray.put, get=real_ray.get, kill=real_ray.kill,
     )
     monkeypatch.setattr(R, "ray", shim)
+    # the deferred sinks live on the Ray path; this corpus is under the
+    # local gate
+    monkeypatch.setattr(R, "LOCAL_MAX_ROWS", 0)
 
     crashed = str(tmp_path / "crashed")
     orig = M.PartitionManifest.commit
@@ -232,6 +259,13 @@ def test_crash_in_deferred_commit_window_converges(transcripts_path,
     with pytest.raises(RuntimeError, match="injected commit crash"):
         run_kg_resumable(transcripts_path, crashed, num_parts=4)
     monkeypatch.setattr(M.PartitionManifest, "commit", orig)
+    # the crash came from the deferred finisher: the phase after the
+    # deferred one had already run (an inline commit would have crashed
+    # before it), and the final marker had not committed
+    later = {"p1_extract": os.path.join("mapping", "_DONE"),
+             "p3_link": "edges"}[which]
+    assert os.path.exists(os.path.join(crashed, later))
+    assert not os.path.exists(os.path.join(crashed, "_FINAL_DONE"))
 
     m = run_kg_resumable(transcripts_path, crashed, num_parts=4)
     assert m  # converged without raising

@@ -262,10 +262,8 @@ def test_big_input_path_equals_small(tmp_path, monkeypatch):
     StreamDriver(landing, out_small, num_parts=4, poll_sec=0.01).poll_once()
 
     monkeypatch.setattr(R, "FUSE_MATERIALIZE_MAX_ROWS", 0)
-    # the stream module imported the constant by value — patch both uses
-    from vectrain_ray.pipelines import stream as S
-
-    monkeypatch.setattr(S, "FUSE_MATERIALIZE_MAX_ROWS", 0)
+    # the local path would otherwise take every phase of this small poll
+    monkeypatch.setattr(R, "LOCAL_MAX_ROWS", 0)
     # and drive phase 4 through its bucketed-shuffle + Ray-sink branch
     monkeypatch.setattr(R, "EDGE_FINALIZE_SINGLE_TASK_MAX", 0)
     out_big = str(tmp_path / "out_big")
@@ -275,3 +273,97 @@ def test_big_input_path_equals_small(tmp_path, monkeypatch):
     for tbl in ("edges", "nodes", "triples", "mentions"):
         a, b = _read_sorted(out_small, tbl), _read_sorted(out_big, tbl)
         pd.testing.assert_frame_equal(a, b)
+
+
+def _stream_with_appends(landing: str, late: list[str], out: str) -> list:
+    """A cold ingest of ``landing``, then each ``late`` file lands and is
+    polled on its own; returns every poll's metrics."""
+    import shutil
+
+    drv = StreamDriver(landing, out, num_parts=4, poll_sec=0.01)
+    polls = [drv.poll_once()]
+    for f in late:
+        shutil.copy(f, os.path.join(landing, os.path.basename(f)))
+        polls.append(drv.poll_once())
+    return polls
+
+
+def _manifest_counters(out_dir: str) -> dict:
+    """Every committed p1/p3 manifest's row counters and n_unsafe."""
+    from vectrain_ray.state.manifest import PartitionManifest
+
+    res = {}
+    for name in ("p1_extract", "p3_link"):
+        man = PartitionManifest(os.path.join(out_dir, name))
+        res[name] = {p: {k: v for k, v in (man.load(p) or {}).items()
+                         if k in ("rows_out", "triples_out", "n_unsafe")}
+                     for p in man.completed_parts()}
+    return res
+
+
+def test_local_gate_equals_ray_path(tmp_path, monkeypatch):
+    """The local gates: an ingest plus three appends (the last re-sends
+    existing turns with new text) streamed once with the default gates,
+    where every phase runs in the driver, once with LOCAL_MAX_ROWS and
+    EDGE_FINALIZE_SINGLE_TASK_MAX at 0, where every phase runs on Ray, and
+    once with LOCAL_MAX_ROWS at 100 rows, where phases of one stream take
+    both paths and the local ones read Ray-written files, give equal
+    tables and equal p1/p3 manifest counters."""
+    import shutil
+
+    import pyarrow as pa
+    import pyarrow.parquet as _pq
+
+    from vectrain_ray.pipelines import resume as R
+    from vectrain_ray.synth import generate_transcripts
+
+    src = str(tmp_path / "src")
+    write_transcripts(src, num_convs=24, turns_per_conv=6, seed=41,
+                      num_files=2)
+    late_dir = tmp_path / "late"
+    late_dir.mkdir()
+    late = []
+    for k, n in enumerate((1, 2)):
+        df = generate_transcripts(num_convs=n, turns_per_conv=6,
+                                  seed=90 + k).to_pandas()
+        df["conv_id"] = df["conv_id"].str.replace("conv-", f"late{k}-")
+        late.append(str(late_dir / f"late{k}.parquet"))
+        _pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
+                        late[-1])
+    # a re-send whose new text wins (it sorts first) and two whose new
+    # text loses, so a winner picked by file order is wrong either way
+    resend = _pq.read_table(sorted(glob.glob(
+        os.path.join(src, "*.parquet")))[0]).slice(0, 3).to_pandas()
+    resend["text"] = ["Aaa Qorvex Ltd acquired Zzyx Corp.",
+                      "zzz Bovar Inc met Kelom.", "zzz Bovar Inc met Kelom."]
+    late.append(str(late_dir / "late2.parquet"))
+    _pq.write_table(pa.Table.from_pandas(resend, preserve_index=False),
+                    late[-1])
+
+    outs = {}
+    single_task_max = R.EDGE_FINALIZE_SINGLE_TASK_MAX
+    for name, gate in (("local", R.LOCAL_MAX_ROWS), ("ray", 0),
+                       ("mixed", 100)):
+        monkeypatch.setattr(R, "LOCAL_MAX_ROWS", gate)
+        # phases 2 and 4 run in the driver below the single-task size
+        monkeypatch.setattr(R, "EDGE_FINALIZE_SINGLE_TASK_MAX",
+                            0 if name == "ray" else single_task_max)
+        landing = str(tmp_path / f"landing_{name}")
+        shutil.copytree(src, landing)
+        outs[name] = str(tmp_path / f"out_{name}")
+        polls = _stream_with_appends(landing, late, outs[name])
+        assert [m["new_files"] for m in polls] == [2, 1, 1, 1]
+        paths = {d["path"] for m in polls for d in m["gate"].values()}
+        assert paths == ({"local", "ray"} if name == "mixed" else {name})
+
+    counters = _manifest_counters(outs["local"])
+    assert len(counters["p3_link"]) == 4
+    for other in ("ray", "mixed"):
+        for tbl in ("edges", "nodes", "triples", "mentions"):
+            pd.testing.assert_frame_equal(_read_sorted(outs["local"], tbl),
+                                          _read_sorted(outs[other], tbl),
+                                          obj=f"{tbl} ({other})")
+        assert counters == _manifest_counters(outs[other])
+    nodes = _read_sorted(outs["local"], "nodes")
+    assert nodes["canonical_name"].str.contains("Qorvex").any()
+    assert not nodes["canonical_name"].str.contains("Bovar").any()

@@ -36,6 +36,23 @@ def key_buckets(df: pd.DataFrame, key_cols: list[str], n: int) -> pd.Series:
     return (h % n).astype("int32")
 
 
+def _first_per_key(df: pd.DataFrame, order: list[str],
+                   key_cols: list[str]) -> pd.DataFrame:
+    """The dedup kernel: first row per key after a stable sort by ``order``."""
+    return df.sort_values(order, kind="stable").drop_duplicates(
+        subset=key_cols, keep="first")
+
+
+def dedup_table(t: pa.Table, key_cols, sort_within: list[str] | None = None
+                ) -> pa.Table:
+    """``dedup_exact`` over one in-memory table (no exchange): the same
+    winner per key, for inputs small enough to dedup in one process."""
+    key_cols = list(key_cols)
+    order = list(dict.fromkeys((sort_within or []) + key_cols))
+    return pa.Table.from_pandas(_first_per_key(t.to_pandas(), order, key_cols),
+                                schema=t.schema, preserve_index=False)
+
+
 def dedup_exact(ds, key_cols, sort_within: list[str] | None = None,
                 num_buckets: int = 64, pre_batch: int = 65536):
     """Distinct rows by ``key_cols``; deterministic winner = first row after
@@ -53,16 +70,12 @@ def dedup_exact(ds, key_cols, sort_within: list[str] | None = None,
     order = list(dict.fromkeys((sort_within or []) + key_cols))
 
     def pre(df: pd.DataFrame) -> pa.Table:
-        df = df.sort_values(order, kind="stable").drop_duplicates(
-            subset=key_cols, keep="first"
-        )
+        df = _first_per_key(df, order, key_cols)
         df[_BUCKET] = key_buckets(df, key_cols, num_buckets)
         return _to_arrow_stripped(df)  # shuffle input: hashable schema
 
     def bucket_dedup(g: pd.DataFrame) -> pa.Table:
-        g = g.sort_values(order, kind="stable").drop_duplicates(
-            subset=key_cols, keep="first"
-        )
+        g = _first_per_key(g, order, key_cols)
         return _to_arrow_stripped(g.drop(columns=[_BUCKET]))
 
     pre_ds = ds.map_batches(pre, batch_format="pandas", batch_size=pre_batch)
@@ -83,7 +96,6 @@ def dedup_exact_local(ds, key_cols, sort_within: list[str] | None = None):
     order = list(dict.fromkeys((sort_within or []) + key_cols))
 
     def block_dedup(df: pd.DataFrame) -> pa.Table:
-        return _to_arrow_stripped(df.sort_values(order, kind="stable")
-                                  .drop_duplicates(subset=key_cols, keep="first"))
+        return _to_arrow_stripped(_first_per_key(df, order, key_cols))
 
     return ds.map_batches(block_dedup, batch_format="pandas", batch_size=None)

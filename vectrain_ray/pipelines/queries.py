@@ -6880,7 +6880,7 @@ ORACLE_SQL = {
         "WITH uc AS (SELECT word, count(*) AS c FROM (SELECT unnest("
         "list_filter(regexp_split_to_array(trim(lower(coalesce(text,''))), "
         "'\\s+'), x -> x <> '')) AS word FROM documents) GROUP BY word) "
-        "SELECT pair, sum(c) AS cnt FROM ("
+        "SELECT pair, CAST(sum(c) AS BIGINT) AS cnt FROM ("
         "SELECT substr(word, i, 2) AS pair, c FROM uc, "
         "unnest(generate_series(1, len(word) - 1)) AS t(i)) "
         "GROUP BY pair ORDER BY cnt DESC, pair LIMIT 20"

@@ -29,6 +29,24 @@ forces a relink), so its committed output is provably unchanged by data
 arriving elsewhere. Incremental ≡ one-shot stays exact
 (test_stream.test_trickle_append_relinks_only_touched_parts).
 
+Two execution paths, one set of kernels. Phase 1, the mention encode,
+phase 3 and StreamDriver's shard append compare their input rows with
+LOCAL_MAX_ROWS; phases 2 and 4, whose inputs are pre-aggregated partials,
+compare theirs with EDGE_FINALIZE_SINGLE_TASK_MAX (and phase 4 also needs
+a broadcast-size mapping). Under its gate a phase calls the stage kernels
+(extract_batch, the surface and edge combiners, _canonicalize_bucket,
+encode_batch_task, the linker, _finalize_edges_bucket) on pyarrow tables in
+the driver and writes each part=K output with pq.write_table; at or above
+it the phase runs as Ray Data executions. Manifests, fingerprints,
+n_unsafe invalidation, the mapping marker and the commit-last order are the
+same on both sides. Each decision is logged (``gate=<phase>,
+path="local"|"ray", rows=…``) and returned in ``metrics["gate"]``. At the
+default gates a micro-batch poll runs wholly in the driver while the
+shards it touches hold under ~110 k turns (extraction yields ~2.3 rows per
+turn); so does a cold ingest of up to ~110 k turns. Larger inputs and batch
+builds take the Ray path phase by phase as each phase's input crosses its
+gate.
+
 At 100 TB: P = O(cluster size × few); phases 1/3 are embarrassingly parallel
 per shard (each shard itself a streaming Ray Data pipeline); phases 2/4 only
 touch pre-aggregated small tables — and per-poll cost tracks the delta, not
@@ -39,16 +57,20 @@ from __future__ import annotations
 
 import glob
 import os
+import shutil
 import time
 
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
 import logging
 
 from .. import rules
-from ..functions.dedup_exact import dedup_exact
+from ..functions.dedup_exact import (_to_arrow_stripped, dedup_exact,
+                                     dedup_table)
 from ..logs import log_event
 from ..stages import canonicalize, materialize
 from ..stages.encode import ENCODERS, encode_batch_task
@@ -81,9 +103,11 @@ TABLES_P3 = ["triples", "edge_partials"]
 # driver-side norm set to the distributed counter (stages/link.py) — same
 # size class as the kg.BROADCAST_MAX_ENTITIES broadcast gate
 UNSAFE_SET_MAX_ENTITIES = 2_000_000
-# below this many stored edge-partial rows phase 4 finalizes edges in ONE
-# vectorized task (and merges nodes single-task) instead of the 64-bucket
-# sort-shuffle — the exchange's fixed cost dwarfs the merge at this size
+# below this many stored surface-partial (phase 2) or edge-partial
+# (phase 4) rows the phase merges in ONE vectorized call instead of the
+# 64-bucket sort-shuffle — the exchange's fixed cost dwarfs the merge at
+# this size — and makes that call in the driver (phase 4 only while the
+# mapping is broadcast-size: it also merges the nodes there)
 EDGE_FINALIZE_SINGLE_TASK_MAX = 4_000_000
 # below this many input rows phases 1/3 materialize their transform ONCE
 # and feed every sink (extracted + surface partials + mention encode;
@@ -93,6 +117,67 @@ EDGE_FINALIZE_SINGLE_TASK_MAX = 4_000_000
 # streaming write + read-back path keeps memory flat (micro-batch polls
 # sit far below it, big batch runs far above)
 FUSE_MATERIALIZE_MAX_ROWS = 8_000_000
+# below this many input rows phase 1, the mention encode, phase 3 and the
+# stream's shard append run their kernels on pyarrow tables in the driver,
+# with no Ray Data execution: a micro-batch poll otherwise paid ~10
+# executions of fixed cost over ~1 k rows. Set at the 2-Ray-CPU crossover:
+# cold stream ingests, each phase local vs on Ray, were at par at ~264 k
+# turns for phase 1 (4.7-5.0 s vs 4.7-7.2 s) and ~595 k extracted rows for
+# mentions + phase 3 (5.4-5.7 s vs 5.2-5.5 s), with the driver path still
+# ahead at ~297 k rows; the driver's peak RSS grew ~0.3 GB at that size.
+# Not measured above 2 CPUs, where the Ray path has more CPUs to use
+LOCAL_MAX_ROWS = 262_144
+# file name of every local-path output file (one per part=K dir)
+LOCAL_FILE = "local.parquet"
+# the stored edge-partial rows phase 4 merges
+EP_SCHEMA = pa.schema([("src_id", pa.string()), ("dst_id", pa.string()),
+                       ("pred", pa.string()), ("prov", pa.string()),
+                       ("cnt", pa.int64()), ("bucket", pa.int32())])
+
+
+def local_gate(record: dict, phase: str, rows: int,
+               limit: int | None = None, allowed: bool = True) -> bool:
+    """One phase's side of its row gate (``limit``, LOCAL_MAX_ROWS unless
+    given): True runs it in the driver. The decision is logged and kept in
+    ``record[phase]``. The event names its phase under ``gate``:
+    ``phase="p1"``/``"p3"`` events are the per-part manifest commits,
+    which carry ``part``."""
+    limit = LOCAL_MAX_ROWS if limit is None else limit
+    path = "local" if allowed and rows < limit else "ray"
+    record[phase] = {"path": path, "rows": rows}
+    log_event(_LOG, f"{phase} takes the {path} path over {rows} rows",
+              gate=phase, path=path, rows=rows)
+    return path == "local"
+
+
+def _map_chunks(fn, t: pa.Table, batch_size: int, **kwargs) -> pa.Table:
+    """A batch kernel over ``t`` in ``batch_size`` slices, in the driver —
+    what ``map_batches(fn, batch_size=batch_size)`` does on Ray."""
+    outs = [fn(t.slice(i, batch_size), **kwargs)
+            for i in range(0, t.num_rows, batch_size)]
+    return pa.concat_tables(outs) if outs else fn(t, **kwargs)
+
+
+def write_parts(t: pa.Table, out_dir: str, table: str,
+                name: str = LOCAL_FILE) -> None:
+    """In-driver twin of ``write_parquet(partition_cols=["part"])``: one
+    file per part present in ``t``, written without the part column (a
+    part with no rows gets no file, as on the Ray sink)."""
+    for part in sorted(pc.unique(t["part"]).to_pylist()):
+        d = partition_output_dir(out_dir, table, part)
+        os.makedirs(d, exist_ok=True)
+        pq.write_table(
+            t.filter(pc.equal(t["part"], part)).drop_columns(["part"]),
+            os.path.join(d, name))
+
+
+def _rows(files: list[str]) -> int:
+    return sum(pq.read_metadata(f).num_rows for f in files)
+
+
+def _part_files(out_dir: str, table: str, part: int) -> list[str]:
+    return sorted(glob.glob(os.path.join(
+        partition_output_dir(out_dir, table, part), "*.parquet")))
 
 
 def _join_all(fns: list, max_workers: int | None = None) -> None:
@@ -137,52 +222,16 @@ def _shard(input_path: str, out_dir: str, num_parts: int,
     return shards
 
 
-def _shard_files(shards: str, part: int) -> list[str]:
-    return sorted(glob.glob(os.path.join(shards, f"part={part}", "*.parquet")))
-
-
 def add_part_column(t: pa.Table, num_parts: int) -> pa.Table:
     """Vectorized ``part = crc_bucket(conv_id, P)`` (null conv_id buckets
     as ""). When the batch came off a hive-partitioned read the inferred
     ``part`` column (a string) is already authoritative — just cast it;
     otherwise recompute from conv_id."""
-    import pyarrow.compute as pc
-
     if "part" in t.column_names:
         i = t.schema.get_field_index("part")
         return t.set_column(i, "part", pc.cast(t["part"], pa.int32()))
     parts = rules.crc_bucket_array(t["conv_id"], num_parts)
     return t.append_column("part", pa.array(parts, pa.int32()))
-
-
-def _write_surface_partials(out_dir: str, part: int,
-                            atomic: bool = False) -> None:
-    """(Re)build one shard's surface-count partials from its committed
-    extracted output. Tolerates an all-filtered shard (zero extracted
-    files): the partials dir is simply absent, and phase 2 treats missing
-    partials for an extracted-empty shard as zero mentions.
-
-    ``atomic``: write to a tmp dir and rename — required by the backfill
-    path, whose only completion signal is the dir's existence (the normal
-    phase-1 call is covered by the manifest committing after it, so a
-    half-written dir there is cleared and rewritten on resume)."""
-    ext_files = sorted(glob.glob(os.path.join(
-        out_dir, "extracted", f"part={part}", "*.parquet")))
-    sp_dir = partition_output_dir(out_dir, "surface_partials", part)
-    if not ext_files:
-        return
-    dest = sp_dir
-    if atomic:
-        import shutil
-
-        dest = sp_dir.rstrip("/") + "__tmp"
-        shutil.rmtree(dest, ignore_errors=True)
-    canonicalize.surface_partials(
-        rd.read_parquet(ext_files)
-        .map_batches(mentions_table, batch_format="pyarrow")
-    ).write_parquet(dest)
-    if atomic:
-        os.rename(dest, sp_dir)
 
 
 def _backfill_surface_partials(out_dir: str, num_parts: int) -> int:
@@ -195,18 +244,19 @@ def _backfill_surface_partials(out_dir: str, num_parts: int) -> int:
     this path's only completion signal, so a crash mid-write must not
     leave a half-dir that a re-run would treat as complete (and then
     permanently truncate the mapping)."""
-    import shutil
-
     n = 0
     for part in range(num_parts):
-        sp_dir = os.path.join(out_dir, "surface_partials", f"part={part}")
-        shutil.rmtree(sp_dir + "__tmp", ignore_errors=True)  # stale crash tmp
-        ext = glob.glob(os.path.join(out_dir, "extracted", f"part={part}",
-                                     "*.parquet"))
-        sp = glob.glob(os.path.join(sp_dir, "*.parquet"))
-        if ext and not sp:
+        sp_dir = partition_output_dir(out_dir, "surface_partials", part)
+        tmp = sp_dir + "__tmp"
+        shutil.rmtree(tmp, ignore_errors=True)  # stale crash tmp
+        ext = _part_files(out_dir, "extracted", part)
+        if ext and not glob.glob(os.path.join(sp_dir, "*.parquet")):
             clear_partition_outputs(out_dir, ["surface_partials"], part)
-            _write_surface_partials(out_dir, part, atomic=True)
+            canonicalize.surface_partials(
+                rd.read_parquet(ext)
+                .map_batches(mentions_table, batch_format="pyarrow")
+            ).write_parquet(tmp)
+            os.rename(tmp, sp_dir)
             n += 1
     return n
 
@@ -227,30 +277,17 @@ def run_kg_resumable(
     link_ann_cells: int = 64,
     link_ann_probe: int | None = None,
     source_kind: str = "parquet",
-    shard_parallelism: int | None = None,
     pool_concurrency: int | None = None,
-    prefetched_shards=None,
 ) -> dict:
     """Run (or resume) the partitioned pipeline. ``fail_after_phase1_parts``
-    injects a crash after N phase-1 shards (kill-point testing only).
+    injects a crash after N phase-1 manifests commit (kill-point testing
+    only) — inside the commit every phase-1 path shares.
 
-    Phases 1 and 3 run FUSED: every stale shard goes through ONE streaming
-    Ray Data execution per phase, with outputs written
-    ``partition_cols=["part"]`` so per-shard manifests/skip logic are
-    unchanged (r4 verdict item 1 — the old one-pipeline-per-shard loop paid
-    ~1-2 s of Ray planning/actor fixed cost per shard per phase, 18× off
-    batch throughput on micro-batch polls). ``shard_parallelism`` is kept
-    for API compatibility but inert: fusion replaces the driver-thread
-    shard overlap (and with it the ≤4-CPU actor-pool starvation mode the
-    auto-gate existed for). ``pool_concurrency``: actors per encode/link
-    pool; default scales with the cluster (max(2, CPUs // 8), capped 8).
-
-    ``prefetched_shards``: streaming-poll optimization — a
-    ``(MaterializedDataset, parts)`` pair from StreamDriver holding the
-    rows its append just wrote for FRESH parts (parts with no prior shard
-    files). When phase 1's todo is exactly those parts, the handle feeds
-    extraction directly (same rows, one fewer read per poll); any mismatch
-    falls back to reading the shard files."""
+    Phases 1 and 3 run FUSED: every stale shard goes through ONE pass per
+    phase (in the driver under LOCAL_MAX_ROWS, else one Ray Data
+    execution; a pipeline per shard paid ~1-2 s of fixed cost per shard
+    per phase). ``pool_concurrency``: actors per encode/link pool; default
+    scales with the cluster (max(2, CPUs // 8), capped 8)."""
     if pool_concurrency is None:
         cpus = int(ray.cluster_resources().get("CPU", 8))
         pool_concurrency = max(2, min(8, cpus // 8))
@@ -258,7 +295,8 @@ def run_kg_resumable(
     man1 = PartitionManifest(os.path.join(out_dir, "p1_extract"))
     man_m = PartitionManifest(os.path.join(out_dir, "p2_mentions"))
     man3 = PartitionManifest(os.path.join(out_dir, "p3_link"))
-    metrics: dict = {"skipped_p1": 0, "skipped_p3": 0}
+    gate: dict = {}
+    metrics: dict = {"skipped_p1": 0, "skipped_p3": 0, "gate": gate}
 
     _tw: dict = {}
     _tc = [time.time()]
@@ -274,7 +312,7 @@ def run_kg_resumable(
     # ---- phase 1: per-shard extraction ----------------------------------
     p1_todo: list[tuple[int, list[str]]] = []
     for part in range(num_parts):
-        files = _shard_files(shards, part)
+        files = _part_files(out_dir, "shards", part)
         if not files:
             continue
         if man1.is_done(part, files):
@@ -282,66 +320,45 @@ def run_kg_resumable(
             continue
         p1_todo.append((part, files))
 
-    def _run_p1(part: int, files: list[str]) -> None:
-        t0 = time.time()
-        clear_partition_outputs(out_dir, TABLES_P1, part)
-        ext_dir = partition_output_dir(out_dir, "extracted", part)
-        ds = rd.read_parquet(files)
-        # shards contain whole conversations → per-shard input dedup is exact
-        ds = dedup_exact(ds, ["conv_id", "turn_idx"], sort_within=["text"])
-        ext = ds.map_batches(
-            filter_nonempty_text, batch_format="pyarrow", batch_size=batch_size
-        ).map_batches(extract_batch, batch_format="pyarrow", batch_size=batch_size)
-        ext.write_parquet(ext_dir)
-        # phase-1.5 artifact: the shard's surface-count partials. Mergeable
-        # sums, so phase 2 rebuilds the GLOBAL mapping from every shard's
-        # partials in O(distinct surfaces) — a streaming append re-reads
-        # the new shards' mentions only, never the whole corpus.
-        _write_surface_partials(out_dir, part)
-        import pyarrow.parquet as pq
-
-        n = sum(pq.read_metadata(f).num_rows
-                for f in glob.glob(os.path.join(ext_dir, "*.parquet")))
-        man1.commit(part, files, {"rows_out": n, "wall_sec": round(time.time() - t0, 3)})
-        log_event(_LOG, f"p1 extract part={part} committed", phase="p1",
-                  part=part, rows_out=n,
-                  wall_sec=round(time.time() - t0, 3))
-
-    def _run_p1_fused(todo: list[tuple[int, list[str]]]):
-        """Every stale shard in ONE streaming execution (r4 verdict item 1):
-        the per-shard pipeline loop paid ~1-2 s of Ray planning/actor fixed
-        cost per shard per phase, which dominated micro-batch polls (cold
-        stream ingest measured 18× below batch throughput). Rows land
-        partitioned by ``part`` (vectorized crc on conv_id), so per-shard
-        outputs, manifests and the O(delta) skip logic are unchanged. A
-        crash mid-run leaves no manifest for ANY todo shard and the next
-        run redoes exactly those — idempotent, coarser retry granularity
-        than the old serial path but the same convergence (and the right
-        Ray-Data shape at scale: one pipeline whose blocks the executor
-        schedules, not P hand-rolled pipelines).
-
-        Under FUSE_MATERIALIZE_MAX_ROWS input rows, the extract chain
-        materializes ONCE and the two sinks (extracted parquet + surface
-        partials) consume the handle on threads — the write → read-back →
-        second-execution pattern cost ~3 s of pure fixed cost per
-        micro-batch poll. Returns the materialized handle (or None on the
-        streaming big-input path) so phase 1.7's mention encode and phase
-        3's linking can consume it instead of re-reading the files."""
+    def _run_p1(todo: list[tuple[int, list[str]]]):
+        """Every stale shard in ONE pass; rows land partitioned by ``part``
+        (vectorized crc on conv_id), so per-shard outputs, manifests and
+        the O(delta) skip logic are unchanged, and a crash before the
+        commits makes the next run redo exactly these shards. On the Ray
+        path under FUSE_MATERIALIZE_MAX_ROWS the extract chain materializes
+        ONCE and both sinks consume the handle (write → read-back → second
+        execution cost ~3 s per micro-batch poll). Returns ``(extracted,
+        finisher)``: the extracted rows (a pyarrow table on the local
+        path, a materialized Dataset under the fuse gate, else None) for
+        phases 1.7 and 3 to reuse, and a finisher when the extracted sink
+        was deferred to a thread."""
         t0 = time.time()
         for part, _ in todo:
             clear_partition_outputs(out_dir, TABLES_P1, part)
         all_files = sorted(f for _, fs in todo for f in fs)
-        import pyarrow.parquet as _pq
-
-        n_in = sum(_pq.read_metadata(f).num_rows for f in all_files)
+        n_in = _rows(all_files)
+        if local_gate(gate, "p1", n_in):
+            # shards hold whole conversations → dedup over the todo shards
+            # is exact, with dedup_exact's winner per key
+            src = dedup_table(
+                pq.read_table(all_files,
+                              columns=["conv_id", "turn_idx", "text"]),
+                ["conv_id", "turn_idx"], sort_within=["text"])
+            ext = add_part_column(
+                _map_chunks(extract_batch, filter_nonempty_text(src),
+                            batch_size), num_parts=num_parts)
+            write_parts(ext, out_dir, "extracted")
+            if ext.num_rows:
+                mens = add_part_column(mentions_table(ext),
+                                       num_parts=num_parts)
+                write_parts(canonicalize.recombine_surface_partials(
+                    canonicalize.partial_surface_counts(
+                        mens, extra_cols=("part",)),
+                    extra_cols=("part",)), out_dir, "surface_partials")
+            _commit_p1(todo, t0)
+            return ext, None
         cpus = int(ray.cluster_resources().get("CPU", 8))
-        if (prefetched_shards is not None
-                and list(prefetched_shards[1]) == [p for p, _ in todo]):
-            # the streaming append's materialized handle IS these parts'
-            # shard content (fresh parts only — see run_kg_resumable doc)
-            ds = prefetched_shards[0]
-        else:
-            ds = rd.read_parquet(all_files)
+        ds = rd.read_parquet(all_files)
         # global bucketed dedup ≡ the old per-shard dedup: conv_id
         # determines part, so (conv_id, turn_idx) groups never span shards.
         # pre_batch sized so the post-shuffle operator (which Ray fuses the
@@ -419,9 +436,9 @@ def run_kg_resumable(
             # phase-1.5: every todo shard's surface partials in one
             # execution, keyed per shard via
             # surface_partials(extra_cols=("part",))
-            ext_back = sorted(f for part, _ in todo for f in glob.glob(
-                os.path.join(out_dir, "extracted", f"part={part}",
-                             "*.parquet")))
+            ext_back = sorted(f for part, _ in todo
+                              for f in _part_files(out_dir, "extracted",
+                                                   part))
             if ext_back:
                 mens = rd.read_parquet(ext_back).map_batches(
                     mentions_table, batch_format="pyarrow"
@@ -437,34 +454,27 @@ def run_kg_resumable(
         return ext_m, None
 
     def _commit_p1(todo: list[tuple[int, list[str]]], t0: float) -> None:
-        """Commit LAST, after both phase-1 sinks are durable."""
-        import pyarrow.parquet as pq
-
+        """Commit LAST, after both phase-1 sinks are durable. Every
+        phase-1 path commits here, so the ``fail_after_phase1_parts`` kill
+        point (raise once N manifests are committed) crashes the code that
+        production runs."""
         wall = round((time.time() - t0) / len(todo), 3)
-        for part, files in todo:
-            n = sum(pq.read_metadata(f).num_rows for f in glob.glob(
-                os.path.join(out_dir, "extracted", f"part={part}",
-                             "*.parquet")))
+        for done, (part, files) in enumerate(todo, start=1):
+            n = _rows(_part_files(out_dir, "extracted", part))
             man1.commit(part, files, {"rows_out": n, "wall_sec": wall})
             log_event(_LOG, f"p1 extract part={part} committed", phase="p1",
                       part=part, rows_out=n, wall_sec=wall, fused=len(todo))
-
-    # the extracted rows p1 just produced, held in the object store under
-    # the FUSE_MATERIALIZE_MAX_ROWS gate: phases 1.7 / 3 consume this
-    # instead of re-reading the files when their todo covers the same parts
-    p1_ext_m = None
-    p1_ran_parts: list[int] = sorted(p for p, _ in p1_todo)
-    if fail_after_phase1_parts is not None:
-        # deterministic kill-point path (serial): exactly the first N todo
-        # shards commit before the injected crash
-        for done1, (part, files) in enumerate(p1_todo, start=1):
-            _run_p1(part, files)
-            if done1 >= fail_after_phase1_parts:
+            if (fail_after_phase1_parts is not None
+                    and done >= fail_after_phase1_parts):
                 raise RuntimeError("injected kill after phase-1 shard "
                                    f"{part} (testing resume)")
-    p1_finish = None
-    if fail_after_phase1_parts is None and p1_todo:
-        p1_ext_m, p1_finish = _run_p1_fused(p1_todo)
+
+    # the extracted rows p1 just produced (a driver table on the local
+    # path, an object-store handle under FUSE_MATERIALIZE_MAX_ROWS):
+    # phases 1.7 / 3 consume them instead of re-reading the files when
+    # their todo covers the same parts
+    p1_ran_parts: list[int] = sorted(p for p, _ in p1_todo)
+    p1_ext, p1_finish = _run_p1(p1_todo) if p1_todo else (None, None)
 
     _tick("p1")
     # ---- phase 1.7: mention encoding (pure function of extracted) -------
@@ -474,6 +484,7 @@ def run_kg_resumable(
     # encode execution (launched after the extracted files land) OVERLAPS
     # phases 3–4 on big sessions (it needs nothing they produce).
     enc_sig = f"{encoder_kind}|{dim}|{sorted((encoder_kwargs or {}).items())!r}"
+    enc_kwargs = {"kind": encoder_kind, "dim": dim, **(encoder_kwargs or {})}
 
     def _run_mentions_fused(todo: list[tuple[int, list[str]]],
                             src=None) -> None:
@@ -481,39 +492,45 @@ def run_kg_resumable(
         for part, _ in todo:
             clear_partition_outputs(out_dir, TABLES_M, part)
         all_ext = sorted(f for _, fs in todo for f in fs)
-        import pyarrow.parquet as _pq
-
-        n_ext = sum(_pq.read_metadata(f).num_rows for f in all_ext)
-        if src is None:  # no in-memory handle covering exactly these parts
-            src = rd.read_parquet(all_ext)
-        mentions = src.map_batches(mentions_table, batch_format="pyarrow")
-        if n_ext < FUSE_MATERIALIZE_MAX_ROWS:
-            # plain tasks under the gate: encoder-pool spin-up dominates
-            # micro-batch encodes; encode_batch_task caches one encoder
-            # (and its surface memo) per worker process
-            mentions = mentions.map_batches(
-                encode_batch_task,
-                fn_kwargs={"kind": encoder_kind, "dim": dim,
-                           **(encoder_kwargs or {})},
-                batch_format="pyarrow",
-                batch_size=batch_size,
-            )
+        n_ext = _rows(all_ext)
+        if local_gate(gate, "mentions", n_ext):
+            ext = src if isinstance(src, pa.Table) else pq.read_table(all_ext)
+            write_parts(add_part_column(
+                _map_chunks(encode_batch_task, mentions_table(ext),
+                            batch_size, **enc_kwargs),
+                num_parts=num_parts), out_dir, "mentions")
         else:
+            if not isinstance(src, rd.Dataset):
+                src = rd.read_parquet(all_ext)
+            mentions = src.map_batches(mentions_table,
+                                       batch_format="pyarrow")
+            if n_ext < FUSE_MATERIALIZE_MAX_ROWS:
+                # plain tasks under the gate: encoder-pool spin-up
+                # dominates micro-batch encodes; encode_batch_task caches
+                # one encoder (and its surface memo) per worker process
+                mentions = mentions.map_batches(
+                    encode_batch_task,
+                    fn_kwargs=enc_kwargs,
+                    batch_format="pyarrow",
+                    batch_size=batch_size,
+                )
+            else:
+                mentions = mentions.map_batches(
+                    ENCODERS[encoder_kind],
+                    fn_constructor_kwargs={"dim": dim,
+                                           **(encoder_kwargs or {})},
+                    batch_format="pyarrow",
+                    batch_size=batch_size,
+                    concurrency=pool_concurrency,
+                    **({"max_task_retries": max_task_retries}
+                       if max_task_retries else {}),
+                )
             mentions = mentions.map_batches(
-                ENCODERS[encoder_kind],
-                fn_constructor_kwargs={"dim": dim, **(encoder_kwargs or {})},
-                batch_format="pyarrow",
-                batch_size=batch_size,
-                concurrency=pool_concurrency,
-                **({"max_task_retries": max_task_retries}
-                   if max_task_retries else {}),
-            )
-        mentions = mentions.map_batches(
-            add_part_column, fn_kwargs={"num_parts": num_parts},
-            batch_format="pyarrow")
-        mentions.write_parquet(os.path.join(out_dir, "mentions"),
-                               partition_cols=["part"],
-                               min_rows_per_file=65536)
+                add_part_column, fn_kwargs={"num_parts": num_parts},
+                batch_format="pyarrow")
+            mentions.write_parquet(os.path.join(out_dir, "mentions"),
+                                   partition_cols=["part"],
+                                   min_rows_per_file=65536)
         wall = round((time.time() - t0) / len(todo), 3)
         for part, ext_files in todo:
             man_m.commit(part, ext_files,
@@ -546,23 +563,25 @@ def run_kg_resumable(
         # O(distinct surfaces): the global mapping is rebuilt from the
         # per-shard count partials, not by re-reading every mention.
         # An all-empty corpus (every turn filtered) has no partials at all:
-        # build the mapping from a zero-row partials table.
-        import pyarrow.parquet as pq
-
-        n_sp_rows = sum(pq.read_metadata(f).num_rows for f in sp_all)
-        if sp_all:
-            partials_ds = rd.read_parquet(sp_all)
-        else:
-            partials_ds = canonicalize.surface_partials(rd.from_arrow(
-                pa.table({"surface_form": pa.array([], pa.string())})))
-        mapping = canonicalize.build_mapping_from_partials(
-            partials_ds,
-            single_task=n_sp_rows < EDGE_FINALIZE_SINGLE_TASK_MAX)
-        import shutil
-
+        # the local path writes no mapping file, the Ray path builds the
+        # mapping from a zero-row partials table.
+        n_sp_rows = _rows(sp_all)
         if os.path.exists(mapping_dir):
             shutil.rmtree(mapping_dir)
-        mapping.write_parquet(mapping_dir)
+        if local_gate(gate, "p2", n_sp_rows,
+                      limit=EDGE_FINALIZE_SINGLE_TASK_MAX):
+            os.makedirs(mapping_dir)
+            if n_sp_rows:
+                pq.write_table(_to_arrow_stripped(
+                    canonicalize._canonicalize_bucket(
+                        pq.read_table(sp_all).to_pandas())),
+                    os.path.join(mapping_dir, LOCAL_FILE))
+        else:
+            canonicalize.build_mapping_from_partials(
+                rd.read_parquet(sp_all) if sp_all else
+                canonicalize.surface_partials(rd.from_arrow(pa.table(
+                    {"surface_form": pa.array([], pa.string())}))),
+            ).write_parquet(mapping_dir)
         # The mapping changed — but a shard's phase-3 output is a PURE
         # function of its own extracted input unless some surface resolved
         # through the mapping-dependent path: a fuzzy-cosine DEPARTURE from
@@ -580,6 +599,7 @@ def run_kg_resumable(
             if meta.get("n_unsafe") != 0:
                 man3.invalidate(done_part)
         open(mapping_marker, "w").write(ext_fp)
+    map_files = sorted(glob.glob(os.path.join(mapping_dir, "*.parquet")))
     shard_actors: list = []
     if link_shards:
         # sharded index artifact lives next to the mapping; rebuilt whenever
@@ -608,10 +628,6 @@ def run_kg_resumable(
         # plain pyarrow read (local parquet dir), no Ray execution — a
         # rd.read_parquet().to_pandas() here paid ~1.5 s of execution
         # fixed cost per poll just to load a few thousand rows
-        import pyarrow.parquet as pq
-
-        map_files = sorted(glob.glob(os.path.join(mapping_dir,
-                                                  "*.parquet")))
         if map_files:
             mapping_df = pq.read_table(map_files).to_pandas()
         else:  # all-empty corpus → empty index
@@ -627,7 +643,8 @@ def run_kg_resumable(
     import threading
 
     _norms_lock = threading.Lock()
-    _lazy: dict = {"mapping_norms": None, "n_map_rows": None}
+    _lazy: dict = {"mapping_norms": None}
+    n_map_rows = _rows(map_files)
     # join phase 1's deferred extracted write (it overlapped the mapping
     # rebuild) and commit its manifests — everything from here on reads
     # the extracted files, so they must be durable first
@@ -640,8 +657,7 @@ def run_kg_resumable(
     m_todo: list[tuple[int, list[str]]] = []
     metrics["skipped_mentions"] = 0
     for part in range(num_parts):
-        ext_files = sorted(glob.glob(os.path.join(
-            out_dir, "extracted", f"part={part}", "*.parquet")))
+        ext_files = _part_files(out_dir, "extracted", part)
         if not ext_files:
             continue
         if man_m.is_done(part, ext_files) and \
@@ -652,8 +668,8 @@ def run_kg_resumable(
     mentions_fut = None
     _m_pool = None
     if m_todo:
-        m_src = (p1_ext_m if p1_ext_m is not None
-                 and sorted(p for p, _ in m_todo) == p1_ran_parts else None)
+        m_src = (p1_ext if sorted(p for p, _ in m_todo) == p1_ran_parts
+                 else None)
         if int(ray.cluster_resources().get("CPU", 8)) >= 16:
             from concurrent.futures import ThreadPoolExecutor as _TPE
 
@@ -667,9 +683,7 @@ def run_kg_resumable(
     # ---- phase 3: per-shard linking + mention encoding + edge partials --
     p3_todo: list[tuple[int, list[str]]] = []
     for part in range(num_parts):
-        ext_files = sorted(
-            glob.glob(os.path.join(out_dir, "extracted", f"part={part}", "*.parquet"))
-        )
+        ext_files = _part_files(out_dir, "extracted", part)
         if not ext_files:
             continue
         if man3.is_done(part, ext_files):
@@ -684,27 +698,19 @@ def run_kg_resumable(
         switches to the distributed counter (stages/link.py) — a small
         vocabulary over a huge corpus still means shard-sized triples,
         which the small branch would load as one pandas frame."""
-        import pyarrow.parquet as pq
-
         from ..stages.link import (count_unsafe_links,
                                    count_unsafe_links_distributed)
 
         if not tr_files:
             return 0
-        with _norms_lock:  # footer scan once per run, reuse per part
-            if _lazy["n_map_rows"] is None:
-                _lazy["n_map_rows"] = sum(
-                    pq.read_metadata(f).num_rows
-                    for f in glob.glob(os.path.join(mapping_dir,
-                                                    "*.parquet")))
-        if (_lazy["n_map_rows"] >= UNSAFE_SET_MAX_ENTITIES
+        if (n_map_rows >= UNSAFE_SET_MAX_ENTITIES
                 or n_tr >= UNSAFE_SET_MAX_ENTITIES):
             return count_unsafe_links_distributed(tr_files, mapping_dir)
         with _norms_lock:  # load once per run, reuse per part
             if _lazy["mapping_norms"] is None:
                 _lazy["mapping_norms"] = set(
-                    pq.read_table(mapping_dir, columns=["surface_norm"])
-                    ["surface_norm"].to_pylist())
+                    pq.read_table(map_files, columns=["surface_norm"])
+                    ["surface_norm"].to_pylist() if map_files else [])
         return count_unsafe_links(
             pq.read_table(tr_files, columns=["subj", "obj", "subj_id",
                                              "obj_id"]).to_pandas(),
@@ -712,13 +718,11 @@ def run_kg_resumable(
         )
 
     def _run_p3_fused(todo: list[tuple[int, list[str]]]):
-        """Every stale shard's linking in ONE pass (r4 verdict item 1):
-        one streaming execution triples→link→write plus a map-only
-        edge-partials pass, instead of 3 executions per shard. Outputs
-        land partitioned by ``part``; manifests commit per shard after all
-        sinks are durable, so the O(delta) skip logic and the kill-anywhere
-        convergence are unchanged. (Mention encoding moved to its own
-        manifest-gated pass — see phase 1.7 above.)
+        """Every stale shard's linking in ONE pass: in the driver under
+        LOCAL_MAX_ROWS, else one streaming execution triples→link→write
+        plus a map-only edge-partials pass. Outputs land partitioned by
+        ``part``; manifests commit per shard after all sinks are durable,
+        so the O(delta) skip logic and kill-anywhere convergence hold.
 
         Returns a finisher callable when the triples sink was deferred to
         a thread (join + manifest commit, run pre-marker), else None."""
@@ -728,14 +732,26 @@ def run_kg_resumable(
         for part, _ in todo:
             clear_partition_outputs(out_dir, TABLES_P3, part)
         all_ext = sorted(f for _, fs in todo for f in fs)
-        import pyarrow.parquet as _pq
-
-        n_ext = sum(_pq.read_metadata(f).num_rows for f in all_ext)
-        # reuse the extracted rows phase 1 still holds in the object store
-        # when its run covered exactly these parts (always true on a
-        # streaming poll: an extract rewrite invalidates the p3 manifest)
-        ext = (p1_ext_m if p1_ext_m is not None and p3_parts == p1_ran_parts
-               else rd.read_parquet(all_ext))
+        n_ext = _rows(all_ext)
+        # reuse the extracted rows phase 1 still holds when its run covered
+        # exactly these parts (always true on a streaming poll: an extract
+        # rewrite invalidates the p3 manifest)
+        ext = p1_ext if p3_parts == p1_ran_parts else None
+        if local_gate(gate, "p3", n_ext):
+            if not isinstance(ext, pa.Table):
+                ext = pq.read_table(all_ext)
+            linked = add_part_column(
+                _map_chunks(linker_cls(**linker_kwargs), triples_table(ext),
+                            batch_size), num_parts=num_parts)
+            write_parts(linked, out_dir, "triples")
+            if linked.num_rows:
+                write_parts(materialize.recombine_edge_partials(
+                    materialize.partial_edges(linked, extra_cols=("part",)),
+                    extra_cols=("part",)), out_dir, "edge_partials")
+            _commit_p3(todo, t0)
+            return None
+        if not isinstance(ext, rd.Dataset):
+            ext = rd.read_parquet(all_ext)
         fuse_small = n_ext < FUSE_MATERIALIZE_MAX_ROWS
         linked = ext.map_batches(triples_table, batch_format="pyarrow")
         if fuse_small and linker_cls is EntityLinker:
@@ -824,9 +840,8 @@ def run_kg_resumable(
             linked.write_parquet(os.path.join(out_dir, "triples"),
                                  partition_cols=["part"],
                                  min_rows_per_file=65536)
-            tr_back = sorted(f for part, _ in todo for f in glob.glob(
-                os.path.join(out_dir, "triples", f"part={part}",
-                             "*.parquet")))
+            tr_back = sorted(f for part, _ in todo
+                             for f in _part_files(out_dir, "triples", part))
             if tr_back:
                 _ep_from(rd.read_parquet(tr_back).map_batches(
                     add_part_column, fn_kwargs={"num_parts": num_parts},
@@ -837,13 +852,10 @@ def run_kg_resumable(
 
     def _commit_p3(todo: list[tuple[int, list[str]]], t0: float) -> None:
         """Commit LAST, after all of the shard's sinks are durable."""
-        import pyarrow.parquet as pq
-
         wall = round((time.time() - t0) / len(todo), 3)
         for part, ext_files in todo:
-            tr_files = sorted(glob.glob(os.path.join(
-                out_dir, "triples", f"part={part}", "*.parquet")))
-            n_tr = sum(pq.read_metadata(f).num_rows for f in tr_files)
+            tr_files = _part_files(out_dir, "triples", part)
+            n_tr = _rows(tr_files)
             man3.commit(part, ext_files,
                         {"triples_out": n_tr,
                          "n_unsafe": _n_unsafe(tr_files, n_tr),
@@ -856,9 +868,7 @@ def run_kg_resumable(
     # it joins the write and THEN commits the p3 manifests, called right
     # before the final marker (a crash in between redoes p3: coarser retry,
     # same convergence, and phase 4 reads only the durable edge partials)
-    p3_finish = None
-    if p3_todo:
-        p3_finish = _run_p3_fused(p3_todo)
+    p3_finish = _run_p3_fused(p3_todo) if p3_todo else None
 
     for a in shard_actors:  # linking done → free the index actors
         ray.kill(a)
@@ -867,8 +877,6 @@ def run_kg_resumable(
     # ---- phase 4: global finalize (small pre-aggregated inputs) ---------
     final_marker = os.path.join(out_dir, "_FINAL_DONE")
     ep_all = sorted(glob.glob(os.path.join(out_dir, "edge_partials", "part=*", "*.parquet")))
-    import shutil
-
     for tbl in ("edges", "nodes"):
         p = os.path.join(out_dir, tbl)
         if os.path.exists(p):
@@ -876,80 +884,51 @@ def run_kg_resumable(
     if os.path.exists(final_marker):
         os.remove(final_marker)
 
+    # the stored per-shard artifact is PARTIAL rows (mergeable — see
+    # _run_p3_fused); dirs written by pre-fusion versions hold FINALIZED
+    # rows ("weight" + prov list) and are converted on read. Sniffed per
+    # file so a half-upgraded out_dir keeps working.
     n_ep_rows = 0
-    if ep_all:
-        import pyarrow.parquet as pq
-
-        # the stored per-shard artifact is PARTIAL rows (mergeable — see
-        # _run_p3_fused); dirs written by pre-fusion versions hold
-        # FINALIZED rows ("weight" + prov list) and are converted on read.
-        # Sniffed per file so a half-upgraded out_dir keeps working.
-        legacy, partials = [], []
-        for f in ep_all:
-            md = pq.read_metadata(f)
-            n_ep_rows += md.num_rows
-            names = md.schema.to_arrow_schema().names
-            (legacy if "weight" in names else partials).append(f)
+    legacy, partials = [], []
+    for f in ep_all:
+        md = pq.read_metadata(f)
+        n_ep_rows += md.num_rows
+        names = md.schema.to_arrow_schema().names
+        (legacy if "weight" in names else partials).append(f)
+    # small regime (micro-batch polls, modest corpora): the 64-bucket
+    # sort-shuffle's fixed cost dwarfs the merge, so one vectorized call
+    # does the whole finalize (same function: it groups by edge key
+    # internally, the bucket column is just ignored). With a broadcast-size
+    # mapping both sinks are driver-sized too, so the finalize and both
+    # sinks run in the driver: a Ray single task ran the same kernel over
+    # the same rows and shipped its output back to the driver anyway. At
+    # 4 M all-distinct partial rows the call takes ~2 GB of driver memory
+    small = n_ep_rows < EDGE_FINALIZE_SINGLE_TASK_MAX
+    if local_gate(gate, "p4", n_ep_rows, limit=EDGE_FINALIZE_SINGLE_TASK_MAX,
+                  allowed=n_map_rows < UNSAFE_SET_MAX_ENTITIES):
         sides = []
         if partials:
-            sides.append(rd.read_parquet(partials, columns=[
-                "src_id", "dst_id", "pred", "prov", "cnt", "bucket"]))
+            sides.append(pq.read_table(partials, columns=EP_SCHEMA.names))
         if legacy:
-            sides.append(rd.read_parquet(legacy).map_batches(
-                materialize.finalized_to_partial_rows,
-                batch_format="pyarrow"))
-        ep = sides[0] if len(sides) == 1 else sides[0].union(sides[1])
-    else:  # zero triples corpus-wide → empty partial-row table
-        ep = rd.from_arrow(pa.table({
-            "src_id": pa.array([], pa.string()),
-            "dst_id": pa.array([], pa.string()),
-            "pred": pa.array([], pa.string()),
-            "prov": pa.array([], pa.string()),
-            "cnt": pa.array([], pa.int64()),
-            "bucket": pa.array([], pa.int32()),
-        }))
-    # small regime (micro-batch polls, modest corpora): the 64-bucket
-    # sort-shuffle's fixed cost dwarfs the merge — one vectorized task
-    # does the whole finalize (same function: it groups by edge key
-    # internally, the bucket column is just ignored)
-    small = n_ep_rows < EDGE_FINALIZE_SINGLE_TASK_MAX
-    if small:
-        edges = ep.repartition(1).map_batches(
-            materialize._finalize_edges_bucket, batch_format="pandas",
-            batch_size=None,
-        ).materialize()
-    else:
-        edges = ep.groupby("bucket").map_groups(
-            materialize._finalize_edges_bucket, batch_format="pandas"
-        ).materialize()
-    import pyarrow.parquet as _pq
-
-    map_files = sorted(glob.glob(os.path.join(mapping_dir, "*.parquet")))
-    n_map_rows = sum(_pq.read_metadata(f).num_rows for f in map_files)
-    if small and n_map_rows < UNSAFE_SET_MAX_ENTITIES:
-        # both sinks are driver-sized here BY THE GATES (edges came out of
-        # one finalize task; the mapping is broadcast-regime small): run
-        # the SAME kernels locally on the finalize task's arrow blocks —
-        # the two Ray executions this replaces were ~2 s of pure per-poll
-        # fixed cost over a few thousand rows
-        blocks = [b for b in ray.get(edges.to_arrow_refs()) if b.num_rows]
+            sides.append(materialize.finalized_to_partial_rows(
+                pq.read_table(legacy)))
         e_dir = os.path.join(out_dir, "edges")
         os.makedirs(e_dir, exist_ok=True)
-        edges_tbl = pa.concat_tables(blocks) if blocks else None
-        if edges_tbl is not None:
-            _pq.write_table(materialize.prov_to_struct(edges_tbl),
-                            os.path.join(e_dir, "part-0.parquet"))
         # a zero-triple corpus writes no edge file (≡ the Ray sink writing
         # zero files) and contributes no degree rows to the node union
         left = materialize._mapping_row_for_union(
-            _pq.read_table(map_files) if map_files else
+            pq.read_table(map_files) if map_files else
             pa.table({"surface_norm": pa.array([], pa.string()),
                       "entity_id": pa.array([], pa.string()),
                       "canonical_name": pa.array([], pa.string()),
                       "n_mentions": pa.array([], pa.int64()),
                       "aliases": pa.array([], pa.list_(pa.string()))}))
         unioned = left
-        if edges_tbl is not None:
+        if n_ep_rows:
+            edges_tbl = _to_arrow_stripped(materialize._finalize_edges_bucket(
+                pa.concat_tables(sides).to_pandas()))
+            pq.write_table(materialize.prov_to_struct(edges_tbl),
+                           os.path.join(e_dir, "part-0.parquet"))
             unioned = pa.concat_tables([left, materialize._degree_row_for_union(
                 materialize.partial_degrees(edges_tbl))])
         nodes_df = materialize._merge_nodes_bucket(unioned.to_pandas())
@@ -957,10 +936,31 @@ def run_kg_resumable(
         os.makedirs(n_dir, exist_ok=True)
         if len(nodes_df.columns):  # all-empty corpus → colless df → the
             # Ray sink would write zero files; mirror that
-            _pq.write_table(pa.Table.from_pandas(nodes_df,
-                                                 preserve_index=False),
-                            os.path.join(n_dir, "part-0.parquet"))
+            pq.write_table(pa.Table.from_pandas(nodes_df,
+                                                preserve_index=False),
+                           os.path.join(n_dir, "part-0.parquet"))
     else:
+        sides = []
+        if partials:
+            sides.append(rd.read_parquet(partials, columns=EP_SCHEMA.names))
+        if legacy:
+            sides.append(rd.read_parquet(legacy).map_batches(
+                materialize.finalized_to_partial_rows,
+                batch_format="pyarrow"))
+        if sides:
+            ep = sides[0] if len(sides) == 1 else sides[0].union(sides[1])
+        else:  # zero triples corpus-wide → empty partial-row table
+            ep = rd.from_arrow(EP_SCHEMA.empty_table())
+        if small:  # only with a mapping past the broadcast size
+            edges = ep.repartition(1).map_batches(
+                materialize._finalize_edges_bucket, batch_format="pandas",
+                batch_size=None,
+            ).materialize()
+        else:
+            edges = ep.groupby("bucket").map_groups(
+                materialize._finalize_edges_bucket, batch_format="pandas"
+            ).materialize()
+
         def _w_edges() -> None:
             edges.map_batches(
                 materialize.prov_to_struct, batch_format="pyarrow"

@@ -34,10 +34,11 @@ import time
 
 import logging
 
+import pyarrow.parquet as pq
 import ray.data as rd
 
 from ..logs import log_event
-from .resume import FUSE_MATERIALIZE_MAX_ROWS, run_kg_resumable
+from .resume import add_part_column, local_gate, run_kg_resumable, write_parts
 
 _LOG = logging.getLogger("vectrain_ray.stream")
 
@@ -57,6 +58,8 @@ class StreamDriver:
         self.shards_dir = os.path.join(out_dir, "shards")
         self.offsets_path = os.path.join(out_dir, "stream_offsets.json")
         self._pending_path = os.path.join(out_dir, "stream_pending_batch.json")
+        # this poll's shard-append gate decision (resume.local_gate)
+        self._gate: dict = {}
         os.makedirs(self.shards_dir, exist_ok=True)
         # the stream driver owns the shard layout: mark it so the resumable
         # runner's one-shot _shard() never re-shards over it
@@ -114,31 +117,18 @@ class StreamDriver:
         os.remove(self._pending_path)
 
     def _append_files(self, paths: list[str]) -> int:
-        """Shard a BATCH of landing files into shards/part=K/ in ONE
-        streaming execution (per-file appends paid one Ray execution per
-        file and wrote one file per part per input block — the resulting
-        tiny-file explosion dominated every downstream read; r4 verdict
-        item 1). Filenames carry the batch tag, so a retry after a crash
-        REPLACES its own partial output (journal protocol in
-        _recover_pending_batch). Returns {path: rows}. Caller commits
-        offsets for all ``paths`` after this returns, then calls
-        _commit_batch()."""
-        import pyarrow.parquet as pq
-
-        from .resume import add_part_column
-
+        """Shard a BATCH of landing files into shards/part=K/ in ONE pass
+        (per-file appends paid one Ray execution per file and wrote one
+        file per part per input block — the resulting tiny-file explosion
+        dominated every downstream read; r4 verdict item 1). Filenames
+        carry the batch tag, so a retry after a crash REPLACES its own
+        partial output (journal protocol in _recover_pending_batch).
+        Returns {path: rows}. Caller commits offsets for all ``paths``
+        after this returns, then calls _commit_batch()."""
         tag = self._batch_tag(paths)
         # per-file tags cover re-appends of files first ingested alone or
         # in a previously differently-composed (crashed) batch
         self._delete_tagged({self._batch_tag([p]) for p in paths} | {tag})
-        # parts that already hold rows BEFORE this batch lands: a part the
-        # batch touches that is NOT in this set is "fresh" — its shard
-        # content after the write is exactly this batch's rows for it, so
-        # the materialized handle below can feed phase 1 directly
-        pre_parts = {
-            d for d in glob.glob(os.path.join(self.shards_dir, "part=*"))
-            if glob.glob(os.path.join(d, "*.parquet"))
-        }
         tmp = self._pending_path + ".tmp"
         with open(tmp, "w") as f:
             json.dump({"tag": tag,
@@ -146,40 +136,32 @@ class StreamDriver:
                       f)
         os.replace(tmp, self._pending_path)
         rows_by_file = {p: pq.read_metadata(p).num_rows for p in paths}
-        ds = rd.read_parquet(sorted(paths),
-                             columns=["conv_id", "turn_idx", "text"])
-        ds = ds.map_batches(add_part_column,
-                            fn_kwargs={"num_parts": self.num_parts},
-                            batch_format="pyarrow")
-        self._prefetch = None
-        ds.write_parquet(
+        self._write_shards(paths, tag, sum(rows_by_file.values()))
+        return rows_by_file
+
+    def _write_shards(self, paths: list[str], tag: str, rows: int) -> None:
+        """Write the landing rows of ``paths`` into shards/part=K/ as
+        ``src<tag>_*`` files: in the driver under resume.LOCAL_MAX_ROWS,
+        else as one Ray execution."""
+        if local_gate(self._gate, "shard", rows):
+            write_parts(add_part_column(
+                pq.read_table(sorted(paths),
+                              columns=["conv_id", "turn_idx", "text"]),
+                num_parts=self.num_parts),
+                self.out_dir, "shards", f"src{tag}_local.parquet")
+            return
+        rd.read_parquet(
+            sorted(paths), columns=["conv_id", "turn_idx", "text"]
+        ).map_batches(
+            add_part_column, fn_kwargs={"num_parts": self.num_parts},
+            batch_format="pyarrow"
+        ).write_parquet(
             self.shards_dir,
             partition_cols=["part"],
             filename_provider=_SrcFilenameProvider(tag),
             min_rows_per_file=1 << 20,  # coalesce: micro-batches must not
             # shatter into per-block-per-part tiny files
         )
-        if sum(rows_by_file.values()) < FUSE_MATERIALIZE_MAX_ROWS:
-            touched = {
-                d for d in glob.glob(os.path.join(self.shards_dir,
-                                                  "part=*"))
-                if glob.glob(os.path.join(d, f"src{tag}_*.parquet"))
-            }
-            if not (touched & pre_parts):  # every touched part is fresh →
-                # the landing rows ARE those parts' shard content. Hand
-                # phase 1 a LAZY plan over the landing files (same rows,
-                # fewer/bigger files): the read runs inside p1's own
-                # execution, so the poll never re-reads the shard files it
-                # just wrote and the append stays one execution.
-                parts = sorted(int(os.path.basename(d).split("=")[1])
-                               for d in touched)
-                plan = rd.read_parquet(
-                    sorted(paths), columns=["conv_id", "turn_idx", "text"]
-                ).map_batches(add_part_column,
-                              fn_kwargs={"num_parts": self.num_parts},
-                              batch_format="pyarrow")
-                self._prefetch = (plan, parts, sorted(paths))
-        return rows_by_file
 
     def _commit_batch(self) -> None:
         try:
@@ -191,23 +173,11 @@ class StreamDriver:
         """Single-file append (kept for the crash-window tests and manual
         repair): a batch of one, WITHOUT the journal — its idempotency is
         the legacy per-file delete-before-write."""
-        import pyarrow.parquet as pq
-
-        from .resume import add_part_column
-
         tag = self._batch_tag([path])
         self._delete_tagged({tag})
-        ds = rd.read_parquet(path, columns=["conv_id", "turn_idx", "text"])
-        ds = ds.map_batches(add_part_column,
-                            fn_kwargs={"num_parts": self.num_parts},
-                            batch_format="pyarrow")
-        ds.write_parquet(
-            self.shards_dir,
-            partition_cols=["part"],
-            filename_provider=_SrcFilenameProvider(tag),
-            min_rows_per_file=1 << 20,
-        )
-        return pq.read_metadata(path).num_rows  # no lazy re-execution
+        rows = pq.read_metadata(path).num_rows
+        self._write_shards([path], tag, rows)
+        return rows
 
     # --- the poll loop ----------------------------------------------------
     def poll_once(self) -> dict:
@@ -218,6 +188,7 @@ class StreamDriver:
         ingested but whose pipeline run crashed (the ``__completed__``
         marker commits only after a successful run)."""
         self._recover_pending_batch()  # crashed fused append, if any
+        self._gate = {}
         offsets = self._load_offsets()
         files = sorted(glob.glob(os.path.join(self.input_dir, "*.parquet")))
         if not files and not offsets:
@@ -249,19 +220,8 @@ class StreamDriver:
         )
         if up_to_date:
             return {"new_files": 0, "rows_in": 0, "ran_pipeline": False}
-        prefetch = getattr(self, "_prefetch", None)
-        self._prefetch = None  # one poll only: later polls re-derive state
-        if prefetch is not None:
-            plan, parts, src_paths = prefetch
-            # a caught-and-retried poll may carry a prefetch whose landing
-            # files a retention sweep removed — the lazy plan would fail
-            # at read time; fall back to the (durable) shard files
-            prefetch = ((plan, parts)
-                        if all(os.path.exists(p) for p in src_paths)
-                        else None)
         metrics = run_kg_resumable(
             self.input_dir, self.out_dir, num_parts=self.num_parts,
-            prefetched_shards=prefetch,
             **self.resume_kwargs,
         )
         if self.vector_store:
@@ -270,7 +230,8 @@ class StreamDriver:
         offsets["__completed__"] = files  # commit LAST: pipeline succeeded
         self._commit_offsets(offsets)
         metrics.update({"new_files": len(new), "rows_in": rows_in,
-                        "ran_pipeline": True})
+                        "ran_pipeline": True,
+                        "gate": {**self._gate, **metrics["gate"]}})
         if self.vector_store:
             metrics["vectors_pushed"] = vectors_pushed
         log_event(_LOG, f"poll ingested {len(new)} files ({rows_in} rows)",

@@ -23,7 +23,6 @@ import os
 
 import pyarrow as pa
 import pyarrow.parquet as pq
-import ray
 import ray.data as rd
 
 from ..schema import TRANSCRIPT_SCHEMA
@@ -32,43 +31,41 @@ from ..sources.readers import read_transcripts
 _BASE_TS = 1_700_000_000_000_000
 
 
-class _ToTranscript:
-    """map_batches actor: (prefix+key, nationkey) rows → 2 transcript turns.
-    Nation names (25 rows) are broadcast once via ray.put, read per actor."""
-
-    def __init__(self, nations_ref, prefix: str, key_col: str, nk_col: str):
-        self.nations = ray.get(nations_ref)
-        self.prefix, self.key_col, self.nk_col = prefix, key_col, nk_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        keys = batch[self.key_col].to_pylist()
-        nks = batch[self.nk_col].to_pylist()
-        conv, turn, role, text, tool, ts = [], [], [], [], [], []
-        for k, nk in zip(keys, nks):
-            name = f"{self.prefix}{k:07d}"
-            nation = self.nations.get(nk, "NOWHERE")
-            cid = f"{self.prefix.lower()}-{k}"
-            stmt = f"{name} located in {nation}."
-            for i, (r, t) in enumerate(
-                (("user", stmt), ("assistant", f"Yes, {stmt}"))
-            ):
-                conv.append(cid)
-                turn.append(i)
-                role.append(r)
-                text.append(t)
-                tool.append(None)
-                ts.append(_BASE_TS + k * 1000 + i)
-        return pa.table(
-            {
-                "conv_id": pa.array(conv, pa.string()),
-                "turn_idx": pa.array(turn, pa.int32()),
-                "role": pa.array(role, pa.string()),
-                "text": pa.array(text, pa.string()),
-                "tool": pa.array(tool, pa.string()),
-                "ts": pa.array(ts, pa.int64()).cast(pa.timestamp("us")),
-            },
-            schema=TRANSCRIPT_SCHEMA,
-        )
+def _to_transcript(batch: pa.Table, nations: dict, prefix: str, key_col: str,
+                   nk_col: str) -> pa.Table:
+    """map_batches task: (prefix+key, nationkey) rows → 2 transcript turns.
+    The 25-row nation dict rides in ``fn_kwargs``: plain tasks hold no CPU
+    between batches, so the reads feeding them always get a slot, where an
+    actor pool per side takes both CPUs of a 2-CPU cluster and starves its
+    own inputs."""
+    keys = batch[key_col].to_pylist()
+    nks = batch[nk_col].to_pylist()
+    conv, turn, role, text, tool, ts = [], [], [], [], [], []
+    for k, nk in zip(keys, nks):
+        name = f"{prefix}{k:07d}"
+        nation = nations.get(nk, "NOWHERE")
+        cid = f"{prefix.lower()}-{k}"
+        stmt = f"{name} located in {nation}."
+        for i, (r, t) in enumerate(
+            (("user", stmt), ("assistant", f"Yes, {stmt}"))
+        ):
+            conv.append(cid)
+            turn.append(i)
+            role.append(r)
+            text.append(t)
+            tool.append(None)
+            ts.append(_BASE_TS + k * 1000 + i)
+    return pa.table(
+        {
+            "conv_id": pa.array(conv, pa.string()),
+            "turn_idx": pa.array(turn, pa.int32()),
+            "role": pa.array(role, pa.string()),
+            "text": pa.array(text, pa.string()),
+            "tool": pa.array(tool, pa.string()),
+            "ts": pa.array(ts, pa.int64()).cast(pa.timestamp("us")),
+        },
+        schema=TRANSCRIPT_SCHEMA,
+    )
 
 
 def tpch_transcripts(sf_dir: str) -> rd.Dataset:
@@ -76,27 +73,19 @@ def tpch_transcripts(sf_dir: str) -> rd.Dataset:
     nation = pq.read_table(
         os.path.join(sf_dir, "nation.parquet"), columns=["n_nationkey", "n_name"]
     )
-    nations_ref = ray.put(
-        dict(zip(nation["n_nationkey"].to_pylist(), nation["n_name"].to_pylist()))
-    )
-    cust = read_transcripts(
-        os.path.join(sf_dir, "customer.parquet"),
-        columns=["c_custkey", "c_nationkey"],
-    ).map_batches(
-        _ToTranscript,
-        fn_constructor_kwargs=dict(nations_ref=nations_ref, prefix="C",
-                                   key_col="c_custkey", nk_col="c_nationkey"),
-        batch_format="pyarrow",
-        concurrency=(1, 2),
-    )
-    supp = read_transcripts(
-        os.path.join(sf_dir, "supplier.parquet"),
-        columns=["s_suppkey", "s_nationkey"],
-    ).map_batches(
-        _ToTranscript,
-        fn_constructor_kwargs=dict(nations_ref=nations_ref, prefix="S",
-                                   key_col="s_suppkey", nk_col="s_nationkey"),
-        batch_format="pyarrow",
-        concurrency=(1, 2),
-    )
-    return cust.union(supp)
+    nations = dict(zip(nation["n_nationkey"].to_pylist(),
+                       nation["n_name"].to_pylist()))
+
+    def side(table: str, prefix: str, key_col: str, nk_col: str):
+        return read_transcripts(
+            os.path.join(sf_dir, f"{table}.parquet"),
+            columns=[key_col, nk_col],
+        ).map_batches(
+            _to_transcript,
+            fn_kwargs=dict(nations=nations, prefix=prefix, key_col=key_col,
+                           nk_col=nk_col),
+            batch_format="pyarrow",
+        )
+
+    return side("customer", "C", "c_custkey", "c_nationkey").union(
+        side("supplier", "S", "s_suppkey", "s_nationkey"))
