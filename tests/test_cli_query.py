@@ -4,18 +4,17 @@ from __future__ import annotations
 
 import json
 import os
-import subprocess
-import sys
 
 import pytest
 
-REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from _child import run_python
+
 SF_DIR = "/root/testdata/sf0.001"
 
 
 def _run(*argv):
-    p = subprocess.run([sys.executable, "-m", "vectrain_ray.run", *argv],
-                       capture_output=True, text=True, cwd=REPO, timeout=120)
+    p = run_python(["-m", "vectrain_ray.run", *argv], 120,
+                   f"run {' '.join(argv)}")
     return p.returncode, p.stdout.strip().splitlines()[-1] if p.stdout else ""
 
 

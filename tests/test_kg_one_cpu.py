@@ -1,0 +1,38 @@
+"""run_kg on a 1-CPU cluster finishes on both of its paths. The Ray path
+once hung there: the encoder actor, started beside the canonicalize
+shuffle, held the only CPU slot the shuffle's tasks waited for."""
+
+from __future__ import annotations
+
+import pytest
+
+from _child import run_python
+
+# each run takes ~5-10 s at 1 CPU, Ray's start included
+TIMEOUT_S = 180
+
+_SCRIPT = """
+import sys
+import ray
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR")
+import ray.data as rd
+from vectrain_ray import synth
+from vectrain_ray.pipelines import resume
+from vectrain_ray.pipelines.kg import run_kg
+if sys.argv[1] == "ray":
+    resume.LOCAL_MAX_ROWS = 0
+res = run_kg(rd.from_arrow(synth.generate_transcripts(100, 8, seed=5)),
+             out_dir=sys.argv[2])
+print(res["gate"]["kg"]["path"], res["edges"].count())
+ray.shutdown()
+"""
+
+
+@pytest.mark.parametrize("path", ["local", "ray"])
+def test_run_kg_finishes_at_one_cpu(path, tmp_path):
+    p = run_python(["-c", _SCRIPT, path, str(tmp_path / "out")], TIMEOUT_S,
+                   f"run_kg's {path} path at 1 CPU")
+    assert p.returncode == 0, p.stderr[-2000:]
+    got_path, n_edges = p.stdout.strip().splitlines()[-1].split()
+    assert got_path == path and int(n_edges) > 0

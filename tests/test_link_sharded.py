@@ -100,10 +100,14 @@ def _frames(res):
     return out
 
 
-def test_kg_pipeline_invariant_to_link_sharding(small_transcripts, tmp_path):
-    """run_kg with link_shards=4 == broadcast run_kg, row for row."""
+def test_kg_pipeline_invariant_to_link_sharding(small_transcripts, tmp_path,
+                                                monkeypatch):
+    """run_kg with link_shards=4 == broadcast run_kg, row for row, on the
+    Ray path (LOCAL_MAX_ROWS=0: the sharded-linker actor pool)."""
+    from vectrain_ray.pipelines import resume as R
     from vectrain_ray.pipelines.kg import run_kg
 
+    monkeypatch.setattr(R, "LOCAL_MAX_ROWS", 0)
     ds = rd.from_arrow(small_transcripts)
     res_b = run_kg(ds, out_dir=None, write_outputs=False, link_shards=0)
     res_s = run_kg(ds, out_dir=str(tmp_path / "kg_sharded"),

@@ -87,13 +87,19 @@ def test_duplicate_resends_are_idempotent(kg_result, small_transcripts):
     assert len(ids) == len(set(ids))
 
 
-def test_rerun_byte_identical(kg_result, small_transcripts, tmp_path):
+def test_rerun_byte_identical(kg_result, small_transcripts, tmp_path,
+                              monkeypatch):
     """Store idempotency (SURVEY.md §5 test 3): an independent second run
-    produces identical node/edge tables."""
+    produces identical node/edge tables — one run per path: the shared
+    run takes the driver path, this one the Ray path (LOCAL_MAX_ROWS=0)."""
+    from vectrain_ray.pipelines import resume as R
     from vectrain_ray.pipelines.kg import run_kg
 
     res1, _ = kg_result
+    monkeypatch.setattr(R, "LOCAL_MAX_ROWS", 0)
     res2 = run_kg(rd.from_arrow(small_transcripts), out_dir=str(tmp_path))
+    assert (res1["gate"]["kg"]["path"], res2["gate"]["kg"]["path"]) == (
+        "local", "ray")
 
     def canon(ds):
         df = ds.to_pandas().astype(str)

@@ -11,6 +11,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 
 from vectrain_ray.pipelines import queries as Q
 
@@ -177,3 +178,18 @@ def test_cross_join_full_product(ray_session):
     assert got["n_name"].nunique() == 25
     assert got["r_name"].nunique() == 5
     assert not got.duplicated(["n_nationkey", "r_name"]).any()
+
+
+@pytest.mark.parametrize("op", ["q_ngram_jaccard", "q_ngram_containment"])
+def test_pair_verify_rejects_duplicate_doc_id(op, tmp_path, ray_session):
+    """A duplicated doc_id raises a clear error; it used to drop the pairs
+    around it silently."""
+    sf = str(tmp_path)
+    pq.write_table(pa.table({
+        "doc_id": pa.array([0, 1, 2, 2, 3], pa.int64()),
+        "text": pa.array(["abcdefghij", "abcdefg", "abcdefg", "zzzzzzzz",
+                          "abcdexyz"]),
+    }), os.path.join(sf, "documents.parquet"))
+    with pytest.raises(Exception, match=r"doc_id must be unique; "
+                                        r"duplicated: \[2\]"):
+        getattr(Q, op)(sf).to_pandas()

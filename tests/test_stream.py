@@ -6,10 +6,12 @@ iterations → union of outputs identical to a one-shot run, no dupes."""
 
 from __future__ import annotations
 
+import collections
 import glob
 import os
 
 import pandas as pd
+import pytest
 import pyarrow.parquet as pq
 
 from vectrain_ray.pipelines.resume import run_kg_resumable
@@ -367,3 +369,75 @@ def test_local_gate_equals_ray_path(tmp_path, monkeypatch):
     nodes = _read_sorted(outs["local"], "nodes")
     assert nodes["canonical_name"].str.contains("Qorvex").any()
     assert not nodes["canonical_name"].str.contains("Bovar").any()
+
+
+def _kg_corpus(case: str, tmp_path):
+    """run_kg's input for one equivalence case: a materialized Dataset, or
+    for "resent" a Parquet path whose re-sent turns carry new text (one
+    winning, two losing), so a winner picked by row order is wrong."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from vectrain_ray.synth import generate_transcripts
+
+    if case == "zero_triple":
+        return rd.from_arrow(pa.table({
+            "conv_id": pa.array(["c1", "c1", "c2"]),
+            "turn_idx": pa.array([0, 1, 0], pa.int32()),
+            "text": pa.array(["Hello Alice.", "Greetings Bob.",
+                              "Yes Carol."])}))
+    t = generate_transcripts(num_convs=30, turns_per_conv=8, seed=43)
+    if case != "resent":
+        return rd.from_arrow(t)
+    resend = t.slice(0, 3).to_pandas()
+    resend["text"] = ["Aaa Qorvex Ltd acquired Zzyx Corp.",
+                      "zzz Bovar Inc met Kelom.", "zzz Bovar Inc met Kelom."]
+    src = tmp_path / "in"
+    src.mkdir()
+    pq.write_table(t, str(src / "a.parquet"))
+    pq.write_table(pa.Table.from_pandas(resend, preserve_index=False),
+                   str(src / "b.parquet"))
+    return str(src)
+
+
+def _kg_rows(ds) -> collections.Counter:
+    """A table as a multiset of rows, its values compared as strings."""
+    df = ds.to_pandas()
+    df = df[sorted(df.columns)].astype(str)
+    return collections.Counter(
+        (tuple(df.columns), *row) for row in df.itertuples(index=False))
+
+
+@pytest.mark.parametrize("case,link_shards", [
+    ("broadcast", None), ("sharded", 3), ("resent", None),
+    ("zero_triple", None)])
+def test_run_kg_local_gate_equals_ray_path(case, link_shards, tmp_path,
+                                           monkeypatch):
+    """run_kg's driver path (default gate) and its Ray path
+    (LOCAL_MAX_ROWS=0) give the same four tables and mapping, as
+    multisets of rows, from the same input; the driver path's phases add
+    up to its total."""
+    from vectrain_ray.pipelines import resume as R
+    from vectrain_ray.pipelines.kg import run_kg
+
+    src = _kg_corpus(case, tmp_path)
+    res = {}
+    for name in ("local", "ray"):
+        with monkeypatch.context() as mp:
+            if name == "ray":
+                mp.setattr(R, "LOCAL_MAX_ROWS", 0)
+            res[name] = run_kg(src, out_dir=str(tmp_path / name),
+                               link_shards=link_shards)
+        assert res[name]["gate"]["kg"]["path"] == name
+    for tbl in ("mentions", "triples", "edges", "nodes", "mapping"):
+        assert _kg_rows(res["local"][tbl]) == _kg_rows(res["ray"][tbl]), tbl
+    timings = dict(res["local"]["timings"])
+    total = timings.pop("total")
+    assert abs(sum(timings.values()) - total) <= 0.05 * total
+    if case == "zero_triple":
+        assert res["local"]["edges"].count() == 0
+        assert res["local"]["nodes"].count() == 3
+    if case == "resent":
+        names = res["local"]["nodes"].to_pandas()["canonical_name"]
+        assert names.str.contains("Qorvex").any()
+        assert not names.str.contains("Bovar").any()

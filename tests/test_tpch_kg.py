@@ -5,16 +5,13 @@ two actor pools and starved its own reads)."""
 from __future__ import annotations
 
 import os
-import signal
-import subprocess
-import sys
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
-import pytest
 
-REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from _child import run_python
+
 # the run takes ~15 s at 2 CPUs
 TIMEOUT_S = 240
 
@@ -47,16 +44,8 @@ def _write_tables(sf_dir: str, n_cust: int, n_supp: int) -> None:
 def test_kg_triples_finishes_at_two_cpus(tmp_path):
     sf_dir = str(tmp_path)
     _write_tables(sf_dir, n_cust=1500, n_supp=100)
-    # own process group: a hang is killed with the Ray daemons it started
-    p = subprocess.Popen([sys.executable, "-c", _SCRIPT, sf_dir],
-                         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                         text=True, cwd=REPO, start_new_session=True)
-    try:
-        out, err = p.communicate(timeout=TIMEOUT_S)
-    except subprocess.TimeoutExpired:
-        os.killpg(p.pid, signal.SIGKILL)
-        p.communicate()
-        pytest.fail(f"kg_triples did not finish in {TIMEOUT_S} s at 2 CPUs")
-    assert p.returncode == 0, err[-2000:]
+    p = run_python(["-c", _SCRIPT, sf_dir], TIMEOUT_S,
+                   "kg_triples at 2 CPUs")
+    assert p.returncode == 0, p.stderr[-2000:]
     # one "<key> located in <nation>" triple per turn, two turns per entity
-    assert int(out.strip().splitlines()[-1]) == 2 * (1500 + 100)
+    assert int(p.stdout.strip().splitlines()[-1]) == 2 * (1500 + 100)

@@ -22,6 +22,16 @@ Dataflow (each → is a streaming stage; ONE scan of the 100 TB input):
   linked → partial_edges combiner → bucketed groupby → edges/
   mapping ∪ degree-partials → merge (single-task when small) → nodes/
 
+Two paths, one gate (``resume.local_gate``, gate "kg", under
+``resume.LOCAL_MAX_ROWS`` rows, sized from Parquet footers or a materialized
+Dataset's metadata; a lazy Dataset takes the Ray path). Below it the driver
+runs the phase functions it shares with the resumable runner
+(pipelines/phases.py) and writes each table as one file, with no Ray Data
+execution; otherwise the dataflow above runs. Same tables, schemas and
+result keys on both, plus ``result["gate"]``. The local ``timings`` add
+up to ``total`` and have no ``edges`` (the Ray path's overlapped
+edges_agg + triples_write).
+
 Scale notes: the only all-to-all exchanges are (a) the optional input dedup
 (skipped when files are conv-hash-partitioned — the Kafka-partition
 analogue), (b) pre-combined partial aggregates. The embedding column exists
@@ -32,33 +42,115 @@ pipelines/resume.py.
 
 from __future__ import annotations
 
+import glob
 import os
+import time
 
+import pyarrow as pa
+import pyarrow.parquet as pq
 import ray
 import ray.data as rd
+from ray.data.dataset import MaterializedDataset
 
+from . import phases, resume
 from ..functions.dedup_exact import dedup_exact, dedup_exact_local
 from ..sources.readers import read_transcripts
 from ..stages import canonicalize, materialize
-from ..stages.encode import ENCODERS
+from ..stages.encode import ENCODERS, encode_batch_task
 from ..stages.extract import (
     extract_batch,
     filter_nonempty_text,
     mentions_table,
     triples_table,
 )
-from ..stages.link import (
-    EntityLinker,
-    ShardedEntityLinker,
-    build_link_index,
-    make_link_shard_actors,
-    write_link_index,
-)
+from ..stages.link import EntityLinker, link_batch_task
 
 # Above this many entities the mapping is not broadcast as one object but
 # sharded by crc32(surface_norm) (stages/link.py): per-shard parquet + one
 # LinkShard actor per shard; the driver never holds the entity table.
 BROADCAST_MAX_ENTITIES = 2_000_000
+COLS = ["conv_id", "turn_idx", "text"]
+TABLES = ("mentions", "triples", "edges", "nodes")
+
+
+def _local_turns(transcripts, gate: dict) -> pa.Table | None:
+    """The input as one pyarrow table when the gate sends the build to the
+    driver, else None. Sized without an execution: Parquet footers for a
+    path, block metadata for a materialized Dataset."""
+    files, rows = None, None
+    if isinstance(transcripts, str):
+        files = ([transcripts] if os.path.isfile(transcripts) else
+                 sorted(glob.glob(os.path.join(transcripts, "**", "*.parquet"),
+                                  recursive=True)))
+        rows = resume._rows(files)
+    elif isinstance(transcripts, MaterializedDataset):
+        rows = transcripts.count()
+    if not resume.local_gate(gate, "kg", rows, allowed=rows is not None):
+        return None
+    if files is not None:
+        return pq.read_table(files, columns=COLS)
+    return pa.concat_tables(ray.get(transcripts.to_arrow_refs())).select(COLS)
+
+
+def _linker(mapping, link_shards, out_dir, *args) -> tuple:
+    """phases.linker over ``mapping`` (a Dataset or a pyarrow table),
+    sharded past BROADCAST_MAX_ENTITIES unless ``link_shards`` is given:
+    the sharded index is streamed to per-shard parquet and loaded by K
+    actors, so the entity table never touches the driver."""
+    if link_shards is None:
+        n_entities = (mapping.num_rows if isinstance(mapping, pa.Table)
+                      else mapping.count())
+        link_shards = 0 if n_entities < BROADCAST_MAX_ENTITIES else max(
+            8, n_entities // 1_000_000)
+    index_dir = None
+    if link_shards:
+        import tempfile
+
+        index_dir = (os.path.join(out_dir, "link_index") if out_dir else
+                     tempfile.mkdtemp(prefix="vr_link_index_", dir="/tmp"))
+    return phases.linker(mapping, link_shards, index_dir, *args)
+
+
+def _run_local(turns: pa.Table, out_dir, write: bool, t_start: float,
+               batch_size: int, enc_kwargs: dict, link_args: tuple) -> dict:
+    """The build in the driver, phase after phase; each table is written
+    as one file (none for an empty table, as on the Ray sinks)."""
+    timings, last = {}, [t_start]
+
+    def tick(name: str) -> None:
+        now = time.time()
+        timings[name], last[0] = round(now - last[0], 3), now
+
+    def sink(name: str, t: pa.Table):
+        if not (write and t.num_rows):
+            return rd.from_arrow(t)
+        os.makedirs(os.path.join(out_dir, name))
+        pq.write_table(t, os.path.join(out_dir, name, resume.LOCAL_FILE))
+        return rd.read_parquet(os.path.join(out_dir, name))
+
+    ext = phases.extract(turns, batch_size)
+    tick("extract")
+    res = {"mentions": sink("mentions", phases.mentions(ext, batch_size,
+                                                        **enc_kwargs))}
+    tick("encode_write")
+    mapping = phases.mapping(phases.surface_partials(ext))
+    tick("mapping")
+    linker_cls, linker_kwargs, shard_actors = _linker(mapping, *link_args)
+    linked = phases.link(ext, linker_cls(**linker_kwargs), batch_size)
+    for a in shard_actors:
+        ray.kill(a)
+    tick("link")
+    res["triples"] = sink("triples", linked)
+    tick("triples_write")
+    edges, nodes = phases.finalize(phases.edge_partials(linked), mapping)
+    tick("edges_agg")
+    res.update(edges=sink("edges", edges), nodes=sink("nodes", nodes),
+               mapping=rd.from_arrow(mapping))
+    if write:
+        res["paths"] = {n: os.path.join(out_dir, n) for n in TABLES}
+    tick("final_writes")
+    timings["total"] = round(time.time() - t_start, 3)
+    return {**res, "timings": timings}
 
 
 def run_kg(
@@ -84,16 +176,39 @@ def run_kg(
 
     transcripts: parquet path/dir or a ray.data.Dataset.
     Returns dict with Datasets: mentions, triples (linked), nodes, edges,
-    mapping — plus output paths when written.
+    mapping — plus output paths when written, the per-phase ``timings``
+    and the path decision ``gate`` (module docstring).
     """
+    t_start = time.time()
+    gate: dict = {}
+    turns = _local_turns(transcripts, gate)
+    write = bool(out_dir and write_outputs)
+    if write:
+        # replace-on-rerun: write_parquet filenames embed a fresh uuid, so
+        # writing into a reused out_dir would otherwise ACCUMULATE the old
+        # run's files and every table would read back N× after N runs
+        import shutil
+
+        for name in TABLES:
+            shutil.rmtree(os.path.join(out_dir, name), ignore_errors=True)
+    link_args = (link_shards, out_dir, dim, fuzzy_threshold, link_ann,
+                 link_ann_cells, link_ann_probe)
+    if turns is not None:
+        return {**_run_local(turns, out_dir, write, t_start, batch_size,
+                             {"kind": encoder_kind, "dim": dim,
+                              **(encoder_kwargs or {})}, link_args),
+                "gate": gate}
+
     # an actor pool that reserves every CPU starves the task-pool stages
     # feeding it (ray_guide: "a pool that reserves every CPU … serializes");
     # cap each pool so ≥2 CPUs stay free for reads/extraction/writes
     total_cpus = int(ray.cluster_resources().get("CPU", 4))
     encoder_concurrency = max(1, min(encoder_concurrency, total_cpus - 2))
     linker_concurrency = max(1, min(linker_concurrency, total_cpus - 2))
-
-    import time
+    # with one CPU a pool of one actor leaves no task slot beside it: an
+    # encode pool overlapping the canonicalize shuffle, or a link pool
+    # behind its feeder tasks, would wait for a slot forever
+    starved = total_cpus - max(encoder_concurrency, linker_concurrency) < 1
 
     from ..tuning import pin_failed_fsspec_http_import
 
@@ -102,7 +217,6 @@ def run_kg(
     pin_failed_fsspec_http_import()
 
     timings: dict[str, float] = {}
-    t_start = time.time()
 
     # opt-in per-phase operator stats (ds.stats()) for profiling: set
     # VECTRAIN_STATS_DIR to a writable dir and each materialized phase dumps
@@ -122,10 +236,9 @@ def run_kg(
         # read_transcripts strips the pandas schema-metadata blob at the
         # source — raw read_parquet defeats Ray's unify_schemas early exit
         # and spams 'Failed to hash the schemas' on every downstream shuffle
-        ds = read_transcripts(transcripts,
-                              columns=["conv_id", "turn_idx", "text"])
+        ds = read_transcripts(transcripts, columns=COLS)
     else:
-        ds = transcripts.select_columns(["conv_id", "turn_idx", "text"])
+        ds = transcripts.select_columns(COLS)
 
     # Idempotency: dedup duplicate re-sent turns at the INPUT (narrow rows).
     # Extraction of distinct turns provably yields distinct mention/triple
@@ -168,9 +281,10 @@ def run_kg(
     # 47 s vs 67 s; 1.6M / 32 CPUs: neutral within noise. (An earlier
     # slower-mapping build had sequential winning at 32 CPUs — re-measure if
     # the phase mix shifts again.) Resolved BEFORE the encoder stage is
-    # built: pool sizing depends on it.
+    # built: pool sizing depends on it. A starved cluster (above) runs
+    # sequentially.
     if encode_overlap == "auto":
-        encode_overlap = True
+        encode_overlap = not starved
     # NOTE: do NOT widen the encoder pool in sequential mode. Measured at
     # 25M turns / 32 CPUs (standalone encode branch, min-of-2):
     # concurrency 8 → 15.5 s, 12 → 29.9 s, 16 → 35.6 s, 30 → 50.8 s.
@@ -178,14 +292,16 @@ def run_kg(
     # mentions_table feeder tasks + parquet write tasks, and every actor
     # slot added beyond ~CPUs/4 takes a CPU from exactly those stages.
 
-    mentions_emb = mentions.map_batches(
-        ENCODERS[encoder_kind],
-        fn_constructor_kwargs={"dim": dim, **(encoder_kwargs or {})},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=encoder_concurrency,
-        **retry_args,
-    )
+    enc_kwargs = {"dim": dim, **(encoder_kwargs or {})}
+    if starved:  # plain tasks, same kernel: no actor holds the one slot
+        encode = {"fn": encode_batch_task,
+                  "fn_kwargs": {"kind": encoder_kind, **enc_kwargs}}
+    else:
+        encode = {"fn": ENCODERS[encoder_kind],
+                  "fn_constructor_kwargs": enc_kwargs,
+                  "concurrency": encoder_concurrency, **retry_args}
+    mentions_emb = mentions.map_batches(**encode, batch_format="pyarrow",
+                                        batch_size=batch_size)
 
     # The encode branch needs NO global state — launch its streaming
     # execution (encode → write mentions/) in a side thread NOW, overlapping
@@ -205,14 +321,6 @@ def run_kg(
             encode_holder["exc"] = exc
 
     t_encode = None
-    if out_dir and write_outputs:
-        # replace-on-rerun: write_parquet filenames embed a fresh uuid, so
-        # writing into a reused out_dir would otherwise ACCUMULATE the old
-        # run's files and every table would read back N× after N runs
-        import shutil
-
-        for name in ("mentions", "triples", "edges", "nodes"):
-            shutil.rmtree(os.path.join(out_dir, name), ignore_errors=True)
     if out_dir and write_outputs and encode_overlap:
         t_encode = threading.Thread(target=_encode_branch)
         t_encode.start()
@@ -224,54 +332,21 @@ def run_kg(
     mapping = canonicalize.build_mapping(mentions).materialize()
     _dump_stats("mapping", mapping)
     timings["mapping"] = round(time.time() - t0, 3)
-    n_entities = mapping.count()
-    if link_shards is None:
-        link_shards = 0 if n_entities < BROADCAST_MAX_ENTITIES else max(
-            8, n_entities // 1_000_000)
-
-    shard_actors: list = []
-    if link_shards:
-        # sharded index: streamed to per-shard parquet, loaded by K actors —
-        # the entity table and its name-encode never touch the driver
-        if out_dir:
-            index_dir = os.path.join(out_dir, "link_index")
-        else:
-            import tempfile
-
-            index_dir = tempfile.mkdtemp(prefix="vr_link_index_", dir="/tmp")
-        write_link_index(mapping, index_dir, link_shards)
-        shard_actors = make_link_shard_actors(
-            index_dir, link_shards, dim=dim, ann=link_ann,
-            n_cells=link_ann_cells, n_probe=link_ann_probe)
-        linker_cls: type = ShardedEntityLinker
-        linker_kwargs: dict = {"shard_handles": shard_actors, "dim": dim,
-                               "fuzzy_threshold": fuzzy_threshold}
-    else:
-        mapping_df = mapping.to_pandas()  # < BROADCAST_MAX_ENTITIES rows
-        if "surface_norm" not in mapping_df.columns:  # zero-mention corpus
-            import pandas as pd
-
-            mapping_df = pd.DataFrame(
-                columns=["surface_norm", "entity_id", "canonical_name"]
-            )
-        index_ref = ray.put(build_link_index(mapping_df, dim=dim))
-        linker_cls = EntityLinker
-        linker_kwargs = {"index_ref": index_ref, "dim": dim,
-                         "fuzzy_threshold": fuzzy_threshold}
+    linker_cls, linker_kwargs, shard_actors = _linker(mapping, *link_args)
 
     # --- triple branch -> linking -> edges -------------------------------
     triples = extracted.map_batches(triples_table, batch_format="pyarrow")
-    linked = triples.map_batches(
-        linker_cls,
-        fn_constructor_kwargs=linker_kwargs,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=linker_concurrency,
-        # NOTE: no retry_args here — the linker's constructor takes an
-        # object-store ref (index_ref); max_task_retries forces
-        # max_restarts>0 on the pool, which deadlocks actor (re)starts whose
-        # ctor args live in the object store (ray#53727, reproduced here).
-    )
+    # NOTE: no retry_args for the linker pool — its constructor takes an
+    # object-store ref (index_ref); max_task_retries forces max_restarts>0
+    # on the pool, which deadlocks actor (re)starts whose ctor args live in
+    # the object store (ray#53727, reproduced here).
+    if starved and linker_cls is EntityLinker:
+        link = {"fn": link_batch_task, "fn_kwargs": linker_kwargs}
+    else:
+        link = {"fn": linker_cls, "fn_constructor_kwargs": linker_kwargs,
+                "concurrency": linker_concurrency}
+    linked = triples.map_batches(**link, batch_format="pyarrow",
+                                 batch_size=batch_size)
     # `linked` feeds BOTH the triples output and edge aggregation → pin it.
     t0 = time.time()
     linked = linked.materialize()
@@ -374,5 +449,6 @@ def run_kg(
 
     timings["total"] = round(time.time() - t_start, 3)
     result["timings"] = timings
+    result["gate"] = gate
     return result
 

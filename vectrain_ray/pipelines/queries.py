@@ -2440,7 +2440,8 @@ def _pair_explode(df: pd.DataFrame) -> pd.DataFrame:
     candidate pairs, keyed for ONE bucketed exchange. Lower ONCE per
     batch with the Arrow kernel (≡ DuckDB lower — both utf8proc; Python
     str.lower() full-case-maps final-sigma/dotted-İ and would break
-    oracle parity)."""
+    oracle parity). ``doc_id`` must be unique: _pairs raises when a pair
+    gets more than one row per side."""
     from ..functions.dedup_exact import key_buckets
 
     lowered = pc.utf8_lower(pc.fill_null(
@@ -2452,6 +2453,20 @@ def _pair_explode(df: pd.DataFrame) -> pd.DataFrame:
     out = out[out["pair_id"] >= 0].copy()
     out["bucket"] = key_buckets(out, ["pair_id"], 64)
     return out
+
+
+def _pairs(g: pd.DataFrame):
+    """(pair_id, text_a, text_b) for each complete adjacent pair in one
+    bucket of _pair_explode rows, in pair order. A duplicated doc_id gives
+    its pairs two rows on one side: raise instead of guessing which."""
+    dup = g.duplicated(["pair_id", "role"])
+    if dup.any():
+        ids = sorted(set((g["pair_id"] + g["role"])[dup].tolist()))
+        raise ValueError(f"doc_id must be unique; duplicated: {ids[:10]}")
+    g = g.sort_values(["pair_id", "role"], kind="stable")
+    for pid, gg in g.groupby("pair_id", sort=True):
+        if len(gg) == 2:  # pair missing one side → not a pair
+            yield pid, gg["text"].iloc[0], gg["text"].iloc[1]
 
 
 def _char_shingles(t) -> set:
@@ -2480,13 +2495,9 @@ def q_ngram_jaccard(sf_dir: str):
     explode, _shingles = _pair_explode, _char_shingles
 
     def bucket_fn(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["pair_id", "role"], kind="stable")
         doc_a, doc_b, n_common, n_union = [], [], [], []
-        for pid, gg in g.groupby("pair_id", sort=True):
-            if len(gg) != 2:  # pair missing one side → not a pair
-                continue
-            sa = _shingles(gg["text"].iloc[0])
-            sb = _shingles(gg["text"].iloc[1])
+        for pid, ta, tb in _pairs(g):
+            sa, sb = _shingles(ta), _shingles(tb)
             doc_a.append(pid)
             doc_b.append(pid + 1)
             n_common.append(len(sa & sb))
@@ -2523,13 +2534,9 @@ def q_ngram_containment(sf_dir: str):
     explode = _pair_explode
 
     def bucket_fn(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["pair_id", "role"], kind="stable")
         rows = []
-        for pid, gg in g.groupby("pair_id", sort=True):
-            if len(gg) != 2:
-                continue
-            sa = _char_shingles(gg["text"].iloc[0])
-            sb = _char_shingles(gg["text"].iloc[1])
+        for pid, ta, tb in _pairs(g):
+            sa, sb = _char_shingles(ta), _char_shingles(tb)
             if not sa or not sb:
                 continue
             nc = len(sa & sb)

@@ -33,13 +33,11 @@ Two execution paths, one set of kernels. Phase 1, the mention encode,
 phase 3 and StreamDriver's shard append compare their input rows with
 LOCAL_MAX_ROWS; phases 2 and 4, whose inputs are pre-aggregated partials,
 compare theirs with EDGE_FINALIZE_SINGLE_TASK_MAX (and phase 4 also needs
-a broadcast-size mapping). Under its gate a phase calls the stage kernels
-(extract_batch, the surface and edge combiners, _canonicalize_bucket,
-encode_batch_task, the linker, _finalize_edges_bucket) on pyarrow tables in
-the driver and writes each part=K output with pq.write_table; at or above
-it the phase runs as Ray Data executions. Manifests, fingerprints,
-n_unsafe invalidation, the mapping marker and the commit-last order are the
-same on both sides. Each decision is logged (``gate=<phase>,
+a broadcast-size mapping). Under its gate a phase runs the driver-local
+phase functions it shares with run_kg (pipelines/phases.py) and writes
+each part=K output with pq.write_table; at or above it the phase runs as
+Ray Data executions. Manifests, fingerprints, n_unsafe invalidation, the
+mapping marker and the commit-last order are the same on both sides. Each decision is logged (``gate=<phase>,
 path="local"|"ray", rows=…``) and returned in ``metrics["gate"]``. At the
 default gates a micro-batch poll runs wholly in the driver while the
 shards it touches hold under ~110 k turns (extraction yields ~2.3 rows per
@@ -68,9 +66,9 @@ import ray.data as rd
 
 import logging
 
-from .. import rules
-from ..functions.dedup_exact import (_to_arrow_stripped, dedup_exact,
-                                     dedup_table)
+from . import phases
+from .phases import add_part_column
+from ..functions.dedup_exact import dedup_exact
 from ..logs import log_event
 from ..stages import canonicalize, materialize
 from ..stages.encode import ENCODERS, encode_batch_task
@@ -80,14 +78,7 @@ from ..stages.extract import (
     mentions_table,
     triples_table,
 )
-from ..stages.link import (
-    EntityLinker,
-    ShardedEntityLinker,
-    link_batch_task,
-    build_link_index,
-    make_link_shard_actors,
-    write_link_index,
-)
+from ..stages.link import EntityLinker, link_batch_task
 from ..state.manifest import (
     PartitionManifest,
     clear_partition_outputs,
@@ -148,14 +139,6 @@ def local_gate(record: dict, phase: str, rows: int,
     log_event(_LOG, f"{phase} takes the {path} path over {rows} rows",
               gate=phase, path=path, rows=rows)
     return path == "local"
-
-
-def _map_chunks(fn, t: pa.Table, batch_size: int, **kwargs) -> pa.Table:
-    """A batch kernel over ``t`` in ``batch_size`` slices, in the driver —
-    what ``map_batches(fn, batch_size=batch_size)`` does on Ray."""
-    outs = [fn(t.slice(i, batch_size), **kwargs)
-            for i in range(0, t.num_rows, batch_size)]
-    return pa.concat_tables(outs) if outs else fn(t, **kwargs)
 
 
 def write_parts(t: pa.Table, out_dir: str, table: str,
@@ -220,18 +203,6 @@ def _shard(input_path: str, out_dir: str, num_parts: int,
     )
     open(marker, "w").write("ok")
     return shards
-
-
-def add_part_column(t: pa.Table, num_parts: int) -> pa.Table:
-    """Vectorized ``part = crc_bucket(conv_id, P)`` (null conv_id buckets
-    as ""). When the batch came off a hive-partitioned read the inferred
-    ``part`` column (a string) is already authoritative — just cast it;
-    otherwise recompute from conv_id."""
-    if "part" in t.column_names:
-        i = t.schema.get_field_index("part")
-        return t.set_column(i, "part", pc.cast(t["part"], pa.int32()))
-    parts = rules.crc_bucket_array(t["conv_id"], num_parts)
-    return t.append_column("part", pa.array(parts, pa.int32()))
 
 
 def _backfill_surface_partials(out_dir: str, num_parts: int) -> int:
@@ -339,22 +310,15 @@ def run_kg_resumable(
         n_in = _rows(all_files)
         if local_gate(gate, "p1", n_in):
             # shards hold whole conversations → dedup over the todo shards
-            # is exact, with dedup_exact's winner per key
-            src = dedup_table(
+            # is exact
+            ext = phases.extract(
                 pq.read_table(all_files,
                               columns=["conv_id", "turn_idx", "text"]),
-                ["conv_id", "turn_idx"], sort_within=["text"])
-            ext = add_part_column(
-                _map_chunks(extract_batch, filter_nonempty_text(src),
-                            batch_size), num_parts=num_parts)
+                batch_size, num_parts)
+            # no rows, no part files (as on the Ray sinks)
             write_parts(ext, out_dir, "extracted")
-            if ext.num_rows:
-                mens = add_part_column(mentions_table(ext),
-                                       num_parts=num_parts)
-                write_parts(canonicalize.recombine_surface_partials(
-                    canonicalize.partial_surface_counts(
-                        mens, extra_cols=("part",)),
-                    extra_cols=("part",)), out_dir, "surface_partials")
+            write_parts(phases.surface_partials(ext, num_parts), out_dir,
+                        "surface_partials")
             _commit_p1(todo, t0)
             return ext, None
         cpus = int(ray.cluster_resources().get("CPU", 8))
@@ -495,10 +459,8 @@ def run_kg_resumable(
         n_ext = _rows(all_ext)
         if local_gate(gate, "mentions", n_ext):
             ext = src if isinstance(src, pa.Table) else pq.read_table(all_ext)
-            write_parts(add_part_column(
-                _map_chunks(encode_batch_task, mentions_table(ext),
-                            batch_size, **enc_kwargs),
-                num_parts=num_parts), out_dir, "mentions")
+            write_parts(phases.mentions(ext, batch_size, num_parts,
+                                        **enc_kwargs), out_dir, "mentions")
         else:
             if not isinstance(src, rd.Dataset):
                 src = rd.read_parquet(all_ext)
@@ -572,10 +534,8 @@ def run_kg_resumable(
                       limit=EDGE_FINALIZE_SINGLE_TASK_MAX):
             os.makedirs(mapping_dir)
             if n_sp_rows:
-                pq.write_table(_to_arrow_stripped(
-                    canonicalize._canonicalize_bucket(
-                        pq.read_table(sp_all).to_pandas())),
-                    os.path.join(mapping_dir, LOCAL_FILE))
+                pq.write_table(phases.mapping(pq.read_table(sp_all)),
+                               os.path.join(mapping_dir, LOCAL_FILE))
         else:
             canonicalize.build_mapping_from_partials(
                 rd.read_parquet(sp_all) if sp_all else
@@ -600,7 +560,7 @@ def run_kg_resumable(
                 man3.invalidate(done_part)
         open(mapping_marker, "w").write(ext_fp)
     map_files = sorted(glob.glob(os.path.join(mapping_dir, "*.parquet")))
-    shard_actors: list = []
+    index_dir = None
     if link_shards:
         # sharded index artifact lives next to the mapping; rebuilt whenever
         # the mapping was rebuilt or the shard count changed
@@ -613,32 +573,19 @@ def run_kg_resumable(
         want = f"{link_shards}|{ext_fp}"
         index_ok = marker_ok and os.path.exists(shards_marker) and \
             open(shards_marker).read() == want
-        if not index_ok:
-            write_link_index(rd.read_parquet(mapping_dir), index_dir,
-                             link_shards)
-            open(shards_marker, "w").write(want)
-        shard_actors = make_link_shard_actors(
-            index_dir, link_shards, dim=dim, ann=link_ann,
-            n_cells=link_ann_cells, n_probe=link_ann_probe)
-        linker_cls: type = ShardedEntityLinker
-        linker_kwargs: dict = {"shard_handles": shard_actors, "dim": dim,
-                               "fuzzy_threshold": fuzzy_threshold}
+        mapping = None if index_ok else rd.read_parquet(mapping_dir)
     else:
         # broadcast regime ⇒ the mapping is driver-sized by definition:
         # plain pyarrow read (local parquet dir), no Ray execution — a
         # rd.read_parquet().to_pandas() here paid ~1.5 s of execution
         # fixed cost per poll just to load a few thousand rows
-        if map_files:
-            mapping_df = pq.read_table(map_files).to_pandas()
-        else:  # all-empty corpus → empty index
-            import pandas as pd
-
-            mapping_df = pd.DataFrame({"surface_norm": [], "entity_id": [],
-                                       "canonical_name": []})
-        index_ref = ray.put(build_link_index(mapping_df, dim=dim))
-        linker_cls = EntityLinker
-        linker_kwargs = {"index_ref": index_ref, "dim": dim,
-                         "fuzzy_threshold": fuzzy_threshold}
+        mapping = (pq.read_table(map_files) if map_files
+                   else phases.EMPTY_MAPPING)
+    linker_cls, linker_kwargs, shard_actors = phases.linker(
+        mapping, link_shards, index_dir, dim, fuzzy_threshold, link_ann,
+        link_ann_cells, link_ann_probe)
+    if link_shards and mapping is not None:
+        open(shards_marker, "w").write(want)
 
     import threading
 
@@ -740,14 +687,11 @@ def run_kg_resumable(
         if local_gate(gate, "p3", n_ext):
             if not isinstance(ext, pa.Table):
                 ext = pq.read_table(all_ext)
-            linked = add_part_column(
-                _map_chunks(linker_cls(**linker_kwargs), triples_table(ext),
-                            batch_size), num_parts=num_parts)
+            linked = phases.link(ext, linker_cls(**linker_kwargs),
+                                 batch_size, num_parts)
             write_parts(linked, out_dir, "triples")
-            if linked.num_rows:
-                write_parts(materialize.recombine_edge_partials(
-                    materialize.partial_edges(linked, extra_cols=("part",)),
-                    extra_cols=("part",)), out_dir, "edge_partials")
+            write_parts(phases.edge_partials(linked, num_parts), out_dir,
+                        "edge_partials")
             _commit_p3(todo, t0)
             return None
         if not isinstance(ext, rd.Dataset):
@@ -885,16 +829,8 @@ def run_kg_resumable(
         os.remove(final_marker)
 
     # the stored per-shard artifact is PARTIAL rows (mergeable — see
-    # _run_p3_fused); dirs written by pre-fusion versions hold FINALIZED
-    # rows ("weight" + prov list) and are converted on read. Sniffed per
-    # file so a half-upgraded out_dir keeps working.
-    n_ep_rows = 0
-    legacy, partials = [], []
-    for f in ep_all:
-        md = pq.read_metadata(f)
-        n_ep_rows += md.num_rows
-        names = md.schema.to_arrow_schema().names
-        (legacy if "weight" in names else partials).append(f)
+    # _run_p3_fused)
+    n_ep_rows = _rows(ep_all)
     # small regime (micro-batch polls, modest corpora): the 64-bucket
     # sort-shuffle's fixed cost dwarfs the merge, so one vectorized call
     # does the whole finalize (same function: it groups by edge key
@@ -906,51 +842,19 @@ def run_kg_resumable(
     small = n_ep_rows < EDGE_FINALIZE_SINGLE_TASK_MAX
     if local_gate(gate, "p4", n_ep_rows, limit=EDGE_FINALIZE_SINGLE_TASK_MAX,
                   allowed=n_map_rows < UNSAFE_SET_MAX_ENTITIES):
-        sides = []
-        if partials:
-            sides.append(pq.read_table(partials, columns=EP_SCHEMA.names))
-        if legacy:
-            sides.append(materialize.finalized_to_partial_rows(
-                pq.read_table(legacy)))
-        e_dir = os.path.join(out_dir, "edges")
-        os.makedirs(e_dir, exist_ok=True)
-        # a zero-triple corpus writes no edge file (≡ the Ray sink writing
-        # zero files) and contributes no degree rows to the node union
-        left = materialize._mapping_row_for_union(
-            pq.read_table(map_files) if map_files else
-            pa.table({"surface_norm": pa.array([], pa.string()),
-                      "entity_id": pa.array([], pa.string()),
-                      "canonical_name": pa.array([], pa.string()),
-                      "n_mentions": pa.array([], pa.int64()),
-                      "aliases": pa.array([], pa.list_(pa.string()))}))
-        unioned = left
-        if n_ep_rows:
-            edges_tbl = _to_arrow_stripped(materialize._finalize_edges_bucket(
-                pa.concat_tables(sides).to_pandas()))
-            pq.write_table(materialize.prov_to_struct(edges_tbl),
-                           os.path.join(e_dir, "part-0.parquet"))
-            unioned = pa.concat_tables([left, materialize._degree_row_for_union(
-                materialize.partial_degrees(edges_tbl))])
-        nodes_df = materialize._merge_nodes_bucket(unioned.to_pandas())
-        n_dir = os.path.join(out_dir, "nodes")
-        os.makedirs(n_dir, exist_ok=True)
-        if len(nodes_df.columns):  # all-empty corpus → colless df → the
-            # Ray sink would write zero files; mirror that
-            pq.write_table(pa.Table.from_pandas(nodes_df,
-                                                preserve_index=False),
-                           os.path.join(n_dir, "part-0.parquet"))
+        tables = phases.finalize(
+            pq.read_table(ep_all, columns=EP_SCHEMA.names) if ep_all
+            else EP_SCHEMA.empty_table(),
+            pq.read_table(map_files) if map_files else phases.EMPTY_MAPPING)
+        for tbl, t in zip(("edges", "nodes"), tables):
+            os.makedirs(os.path.join(out_dir, tbl))
+            if t.num_rows:  # an empty table gets no file, as on Ray
+                pq.write_table(t, os.path.join(out_dir, tbl,
+                                               "part-0.parquet"))
     else:
-        sides = []
-        if partials:
-            sides.append(rd.read_parquet(partials, columns=EP_SCHEMA.names))
-        if legacy:
-            sides.append(rd.read_parquet(legacy).map_batches(
-                materialize.finalized_to_partial_rows,
-                batch_format="pyarrow"))
-        if sides:
-            ep = sides[0] if len(sides) == 1 else sides[0].union(sides[1])
-        else:  # zero triples corpus-wide → empty partial-row table
-            ep = rd.from_arrow(EP_SCHEMA.empty_table())
+        # zero triples corpus-wide → empty partial-row table
+        ep = (rd.read_parquet(ep_all, columns=EP_SCHEMA.names) if ep_all
+              else rd.from_arrow(EP_SCHEMA.empty_table()))
         if small:  # only with a mapping past the broadcast size
             edges = ep.repartition(1).map_batches(
                 materialize._finalize_edges_bucket, batch_format="pandas",

@@ -145,35 +145,6 @@ def recombine_edge_partials(t: pa.Table, extra_cols: tuple = ()) -> pa.Table:
     return pa.table(res)
 
 
-def finalized_to_partial_rows(batch: pa.Table) -> pa.Table:
-    """Finalized per-shard edges (src, dst, pred, weight, prov list) → the
-    packed partial-row shape partial_edges emits, so the resumable runner's
-    phase-4 global merge reuses _finalize_edges_bucket unchanged (each
-    shard's prov list is that shard's first-PROV_CAP — min-k merge across
-    shards stays correct)."""
-    keys = ["src_id", "dst_id", "pred"]
-    df = batch.select(keys + ["weight", "prov"]).to_pandas()
-    out = df[keys].copy()
-    # prov arrives as list OR numpy array (parquet round-trip) — len() both
-    out["prov"] = df["prov"].apply(
-        lambda lst: "\x1f".join(lst) if lst is not None and len(lst) else None
-    )
-    out["cnt"] = df["weight"].astype("int64")
-    from ..functions.dedup_exact import key_buckets
-
-    out["bucket"] = key_buckets(out, keys, NUM_BUCKETS)
-    return pa.table(
-        {
-            "src_id": pa.array(out["src_id"], pa.string()),
-            "dst_id": pa.array(out["dst_id"], pa.string()),
-            "pred": pa.array(out["pred"], pa.string()),
-            "prov": pa.array(out["prov"], pa.string()),
-            "cnt": pa.array(out["cnt"], pa.int64()),
-            "bucket": pa.array(out["bucket"], pa.int32()),
-        }
-    )
-
-
 def edges_from_linked(linked_ds, recombine_batch: int | None = 1 << 17):
     """linked triples Dataset → edges Dataset (prov as "conv|t" strings;
     promote to list<struct> at the final write projection).
