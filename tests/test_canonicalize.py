@@ -156,3 +156,70 @@ def test_hot_surface_collapses_before_shuffle():
     assert out.num_rows == 2
     cnt = dict(zip(out["surface_form"].to_pylist(), out["cnt"].to_pylist()))
     assert cnt["Acme Corp"] == 50_000 and cnt["Globex"] == 1
+
+
+# --- golden test: the Arrow _canonicalize_bucket against the pandas
+# formulation it replaced, frozen here as the reference (Table.equals,
+# schema included)
+def _ref_canonicalize_bucket(t: pa.Table) -> pa.Table:
+    import pandas as pd
+
+    g = t.to_pandas()
+    tot = (g.groupby(["merge_key", "surface_norm", "surface_form"],
+                     sort=True)["cnt"].sum().reset_index())
+    tot = tot.sort_values(["surface_norm", "cnt", "surface_form"],
+                          ascending=[True, False, True], kind="stable")
+    canon = tot.drop_duplicates("surface_norm", keep="first").set_index(
+        "surface_norm")
+    n_mentions = tot.groupby("surface_norm")["cnt"].sum()
+    aliases = tot.sort_values(["surface_norm", "surface_form"]).groupby(
+        "surface_norm")["surface_form"].agg(list)
+    norms = pd.DataFrame({
+        "surface_norm": canon.index,
+        "merge_key": canon["merge_key"].values,
+        "canonical_surface": canon["surface_form"].values,
+        "n_mentions": n_mentions.reindex(canon.index).astype("int64").values,
+        "aliases": aliases.reindex(canon.index).values,
+    })
+    norms = norms.sort_values(["merge_key", "n_mentions", "surface_norm"],
+                              ascending=[True, False, True], kind="stable")
+    win = norms.drop_duplicates("merge_key", keep="first").set_index(
+        "merge_key")
+    eids = {k: rules.stable_id("ent", k) for k in win.index}
+    return pa.Table.from_pandas(pd.DataFrame({
+        "surface_norm": norms["surface_norm"].values,
+        "entity_id": norms["merge_key"].map(eids).values,
+        "canonical_name": norms["merge_key"].map(
+            win["canonical_surface"]).values,
+        "n_mentions": norms["n_mentions"].values,
+        "aliases": norms["aliases"].values,
+    }), preserve_index=False).replace_schema_metadata(None)
+
+
+def test_canonicalize_bucket_golden():
+    """Per-shard partials of one corpus, the same (norm, form) in several
+    of them: canonical surface ties (broken by form), cluster winners tied
+    on n_mentions (broken by norm), and a norm with one form."""
+    from vectrain_ray.stages.canonicalize import (
+        _canonicalize_bucket,
+        recombine_surface_partials,
+    )
+
+    shards = [["Acme Corp", "ACME corp", "Acme Inc", "acme inc", "Bob"],
+              ["Acme Corp", "ACME corp", "Acme, Inc.", "Bob", "bob"],
+              ["Globex Ltd", "globex", "Acme Inc", "Zed"]]
+    t = pa.concat_tables([recombine_surface_partials(
+        partial_surface_counts(pa.table({"surface_form": s})))
+        for s in shards])
+    assert t.num_rows > len(set(sum(shards, [])))  # repeats across shards
+    got = _canonicalize_bucket(t)
+    assert got.equals(_ref_canonicalize_bucket(t), check_metadata=True)
+    rows = {r["surface_norm"]: r for r in got.to_pylist()}
+    assert rows["acme corp"]["canonical_name"] == rows["acme inc"][
+        "canonical_name"] == "ACME corp"
+    assert rows["acme inc"]["aliases"] == ["Acme Inc", "Acme, Inc.",
+                                           "acme inc"]
+    # an empty bucket keeps the schema of a non-empty one (the pandas
+    # reference's empty frame had null- and double-typed columns)
+    empty = _canonicalize_bucket(t.slice(0, 0))
+    assert empty.num_rows == 0 and empty.schema.equals(got.schema)

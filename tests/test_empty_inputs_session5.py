@@ -37,13 +37,22 @@ def empty_sf(tmp_path):
         "embedding": pa.array([], pa.list_(pa.float32())),
         "label": pa.array([], pa.int32()),
     }), os.path.join(sf, "embeddings.parquet"))
+    pq.write_table(pa.table({
+        "r_regionkey": pa.array([], pa.int32()),
+        "r_name": pa.array([], pa.string()),
+    }), os.path.join(sf, "region.parquet"))
+    pq.write_table(pa.table({
+        "n_nationkey": pa.array([], pa.int32()),
+        "n_name": pa.array([], pa.string()),
+        "n_regionkey": pa.array([], pa.int32()),
+    }), os.path.join(sf, "nation.parquet"))
     return sf
 
 
 @pytest.mark.parametrize("op", [
     "quality_filter", "dup_ngram_fraction", "value_corr",
     "embed_quantize", "winsorize_by_group", "ngram_containment",
-    "cluster_purity",
+    "cluster_purity", "cross_join",
 ])
 def test_session5_ops_empty_input(empty_sf, ray_session, op):
     res = Q.QUERIES[op](empty_sf)

@@ -101,15 +101,18 @@ def test_embed_quantize_known_codes(tmp_path, ray_session):
 def test_winsorize_known_thresholds(tmp_path, ray_session):
     """Source 'a' = lengths 1..20 → p5 rank k=(20·5+99)//100=1 → lo=1,
     p95 rank k=19 → hi=19: only the 20 clips (to 19). Source 'b' has 3
-    equal values → lo=hi=7, nothing clips."""
+    equal values → lo=hi=7, nothing clips. A NULL source is in no group,
+    as in the SQL oracle: its row is dropped and moves no threshold."""
     sf = str(tmp_path)
     pq.write_table(pa.table({
-        "doc_id": pa.array(range(23), pa.int64()),
-        "source": pa.array(["a"] * 20 + ["b"] * 3),
-        "n_chars": pa.array(list(range(1, 21)) + [7, 7, 7], pa.int64()),
+        "doc_id": pa.array(range(25), pa.int64()),
+        "source": pa.array(["a"] * 20 + ["b"] * 3 + [None] * 2),
+        "n_chars": pa.array(list(range(1, 21)) + [7, 7, 7, 500, 1],
+                            pa.int64()),
     }), os.path.join(sf, "documents.parquet"))
     got = Q.q_winsorize_by_group(sf).to_pandas().sort_values(
         "doc_id").reset_index(drop=True)
+    assert got["doc_id"].tolist() == list(range(23))
     a = got[got["source"] == "a"]
     assert a["clipped"].sum() == 1
     assert a.loc[a["n_chars"] == 20, "n_chars_w"].tolist() == [19]

@@ -16,6 +16,7 @@ import pyarrow.parquet as pq
 
 from vectrain_ray.pipelines.resume import run_kg_resumable
 from vectrain_ray.pipelines.stream import StreamDriver
+from vectrain_ray.stages.materialize import PROV_CAP
 from vectrain_ray.synth import write_transcripts
 
 
@@ -387,6 +388,13 @@ def _kg_corpus(case: str, tmp_path):
             "text": pa.array(["Hello Alice.", "Greetings Bob.",
                               "Yes Carol."])}))
     t = generate_transcripts(num_convs=30, turns_per_conv=8, seed=43)
+    if case == "capped":  # one edge in 2 × PROV_CAP distinct turns
+        cap = t.take([0] * 2 * PROV_CAP).to_pandas()
+        cap["conv_id"] = [f"cap{i % 7}" for i in range(len(cap))]
+        cap["turn_idx"] = range(len(cap))
+        cap["text"] = "Qorvex Ltd acquired Zzyx Corp."
+        t = pa.concat_tables([t, pa.Table.from_pandas(
+            cap, schema=t.schema, preserve_index=False)])
     if case != "resent":
         return rd.from_arrow(t)
     resend = t.slice(0, 3).to_pandas()
@@ -410,13 +418,15 @@ def _kg_rows(ds) -> collections.Counter:
 
 @pytest.mark.parametrize("case,link_shards", [
     ("broadcast", None), ("sharded", 3), ("resent", None),
-    ("zero_triple", None)])
+    ("zero_triple", None), ("capped", None)])
 def test_run_kg_local_gate_equals_ray_path(case, link_shards, tmp_path,
                                            monkeypatch):
     """run_kg's driver path (default gate) and its Ray path
     (LOCAL_MAX_ROWS=0) give the same four tables and mapping, as
     multisets of rows, from the same input; the driver path's phases add
-    up to its total."""
+    up to its total. "capped" links in batches of 16 rows, so one edge's
+    2 × PROV_CAP provenance entries span several link batches and the
+    capped merge runs on both paths."""
     from vectrain_ray.pipelines import resume as R
     from vectrain_ray.pipelines.kg import run_kg
 
@@ -427,7 +437,8 @@ def test_run_kg_local_gate_equals_ray_path(case, link_shards, tmp_path,
             if name == "ray":
                 mp.setattr(R, "LOCAL_MAX_ROWS", 0)
             res[name] = run_kg(src, out_dir=str(tmp_path / name),
-                               link_shards=link_shards)
+                               link_shards=link_shards,
+                               batch_size=16 if case == "capped" else 4096)
         assert res[name]["gate"]["kg"]["path"] == name
     for tbl in ("mentions", "triples", "edges", "nodes", "mapping"):
         assert _kg_rows(res["local"][tbl]) == _kg_rows(res["ray"][tbl]), tbl
@@ -437,6 +448,11 @@ def test_run_kg_local_gate_equals_ray_path(case, link_shards, tmp_path,
     if case == "zero_triple":
         assert res["local"]["edges"].count() == 0
         assert res["local"]["nodes"].count() == 3
+    if case == "capped":
+        edges = res["local"]["edges"].to_pandas()
+        top = edges.loc[edges["weight"].idxmax()]
+        assert top["weight"] == 2 * PROV_CAP
+        assert len(top["provenance"]) == PROV_CAP
     if case == "resent":
         names = res["local"]["nodes"].to_pandas()["canonical_name"]
         assert names.str.contains("Qorvex").any()

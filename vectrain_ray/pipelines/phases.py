@@ -20,7 +20,7 @@ import ray
 import ray.data as rd
 
 from .. import rules
-from ..functions.dedup_exact import _to_arrow_stripped, dedup_table
+from ..functions.dedup_exact import dedup_table
 from ..stages import canonicalize, materialize
 from ..stages.encode import encode_batch_task
 from ..stages.extract import (
@@ -89,10 +89,7 @@ def surface_partials(ext: pa.Table, num_parts: int | None = None) -> pa.Table:
 def mapping(partials: pa.Table) -> pa.Table:
     """One _canonicalize_bucket call over every bucket (it groups by merge
     key itself)."""
-    if not partials.num_rows:
-        return EMPTY_MAPPING
-    return _to_arrow_stripped(
-        canonicalize._canonicalize_bucket(partials.to_pandas()))
+    return canonicalize._canonicalize_bucket(partials)
 
 
 def linker(mapping_t, link_shards: int, index_dir: str | None, dim: int,
@@ -139,16 +136,12 @@ def edge_partials(linked: pa.Table, num_parts: int | None = None) -> pa.Table:
 def finalize(partials: pa.Table, mapping_t: pa.Table
              ) -> tuple[pa.Table, pa.Table]:
     """(edges with provenance structs, nodes), each merged in one call.
-    With no triples the edges, and with no mentions the nodes, are an
-    empty table without columns: callers write no file for it, as the Ray
-    sinks write none."""
-    left = materialize._mapping_row_for_union(mapping_t)
-    edges = pa.table({})
-    if partials.num_rows:
-        edges = _to_arrow_stripped(
-            materialize._finalize_edges_bucket(partials.to_pandas()))
-        left = pa.concat_tables([left, materialize._degree_row_for_union(
-            materialize.partial_degrees(edges))])
-        edges = materialize.prov_to_struct(edges)
-    nodes = materialize._merge_nodes_bucket(left.to_pandas())
-    return edges, pa.Table.from_pandas(nodes, preserve_index=False)
+    With no triples the edges, and with no mentions the nodes, are empty:
+    callers write no file for an empty table, as the Ray sinks write
+    none."""
+    edges = materialize._finalize_edges_bucket(partials)
+    left = pa.concat_tables([
+        materialize._mapping_row_for_union(mapping_t),
+        materialize._degree_row_for_union(materialize.partial_degrees(edges))])
+    return (materialize.prov_to_struct(edges),
+            materialize._merge_nodes_bucket(left))

@@ -5287,7 +5287,10 @@ def q_winsorize_by_group(sf_dir: str):
     ds = _read(sf_dir, "documents",
                ["doc_id", "source", "n_chars"]).materialize()
 
+    # a NULL source is in no group (SQL's GROUP BY/JOIN USING keep it out
+    # of every threshold): both passes drop it explicitly
     def vc(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.is_valid(t["source"]))
         g = pa.table({
             "source": t["source"],
             "n_chars": pc.cast(t["n_chars"], pa.int64()),
@@ -5322,7 +5325,7 @@ def q_winsorize_by_group(sf_dir: str):
             self.th = ray.get(th_ref)
 
         def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            m = df.merge(self.th, on="source")
+            m = df[df["source"].notna()].merge(self.th, on="source")
             x = m["n_chars"].to_numpy(np.int64)
             lo = m["lo"].to_numpy(np.int64)
             hi = m["hi"].to_numpy(np.int64)

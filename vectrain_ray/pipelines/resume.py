@@ -857,12 +857,12 @@ def run_kg_resumable(
               else rd.from_arrow(EP_SCHEMA.empty_table()))
         if small:  # only with a mapping past the broadcast size
             edges = ep.repartition(1).map_batches(
-                materialize._finalize_edges_bucket, batch_format="pandas",
+                materialize._finalize_edges_bucket, batch_format="pyarrow",
                 batch_size=None,
             ).materialize()
         else:
             edges = ep.groupby("bucket").map_groups(
-                materialize._finalize_edges_bucket, batch_format="pandas"
+                materialize._finalize_edges_bucket, batch_format="pyarrow"
             ).materialize()
 
         def _w_edges() -> None:

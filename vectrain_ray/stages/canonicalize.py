@@ -11,8 +11,9 @@ of near-duplicate clusters" with explicit skew handling:
      #mentions rows — the combiner that defuses hot-key skew.
   2. **Bucketed final aggregation**: rows shuffle on
      ``crc(surface_norm) % num_buckets`` (coarse, uniform — a hot norm is
-     already collapsed to partials) and each bucket aggregates VECTORIZED in
-     pandas (one Python call per bucket, not per key).
+     already collapsed to partials) and each bucket aggregates in Arrow
+     and numpy over sorted group offsets (stages/groups.py). The one
+     Python call per key left is the entity_id hash, once per cluster.
   3. Cluster assignment by ``merge_key`` (corp-suffix equivalence), again
      bucketed; entity_id = stable hash of the merge key (idempotent across
      runs — answers reference TODO qdrant/store.go:45).
@@ -29,12 +30,12 @@ one linker pool per shard (documented partitioning assumption).
 
 from __future__ import annotations
 
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from .. import rules
 from ..state.unionfind import UnionFind
+from .groups import group_lists, group_sums, sorted_groups
 
 NUM_BUCKETS = 64
 
@@ -121,43 +122,41 @@ def recombine_surface_partials(t: pa.Table,
                      "bucket", *extra_cols])
 
 
-def _canonicalize_bucket(g: pd.DataFrame) -> pd.DataFrame:
+def _canonicalize_bucket(t: pa.Table) -> pa.Table:
     """One merge-key-bucket of partial counts → mapping rows (one per member
     norm), all vectorized: per-norm stats (canonical surface = highest total
     count, ties → lexicographic), then cluster winner = heaviest norm per
     merge_key. entity_id is a pure function of merge_key → identical across
     runs and partitionings."""
-    tot = (
-        g.groupby(["merge_key", "surface_norm", "surface_form"], sort=True)["cnt"]
-        .sum()
-        .reset_index()
-    )
-    tot = tot.sort_values(["surface_norm", "cnt", "surface_form"],
-                          ascending=[True, False, True], kind="stable")
-    canon = tot.drop_duplicates("surface_norm", keep="first").set_index("surface_norm")
-    n_mentions = tot.groupby("surface_norm")["cnt"].sum()
-    aliases = tot.sort_values(["surface_norm", "surface_form"]).groupby(
-        "surface_norm")["surface_form"].agg(list)
-    norms = pd.DataFrame(
+    t, gid, starts = sorted_groups(
+        t.select(["surface_norm", "surface_form", "merge_key", "cnt"]),
+        ["surface_norm", "surface_form", "merge_key"])
+    tot = t.take(starts).set_column(3, "cnt", group_sums(t["cnt"], starts))
+    # per norm: first row = canonical surface. by_norm and tot both sort
+    # by norm first, so nid also numbers tot's rows, whose (norm, form)
+    # order lists each norm's aliases sorted
+    by_norm, nid, nstarts = sorted_groups(tot, ["surface_norm"], (
+        ("cnt", "descending"), ("surface_form", "ascending")))
+    canon = by_norm.take(nstarts)
+    norms, mid, mstarts = sorted_groups(pa.table({
+        "surface_norm": canon["surface_norm"],
+        "merge_key": canon["merge_key"],
+        "canonical_surface": canon["surface_form"],
+        "n_mentions": group_sums(by_norm["cnt"], nstarts),
+        "aliases": group_lists(tot["surface_form"], nid, len(nstarts)),
+    }), ["merge_key"], (("n_mentions", "descending"),
+                        ("surface_norm", "ascending")))
+    win = norms.take(mstarts)
+    eids = pa.array([rules.stable_id("ent", k)
+                     for k in win["merge_key"].to_pylist()], pa.string())
+    return pa.table(
         {
-            "surface_norm": canon.index,
-            "merge_key": canon["merge_key"].values,
-            "canonical_surface": canon["surface_form"].values,
-            "n_mentions": n_mentions.reindex(canon.index).astype("int64").values,
-            "aliases": aliases.reindex(canon.index).values,
-        }
-    )
-    norms = norms.sort_values(["merge_key", "n_mentions", "surface_norm"],
-                              ascending=[True, False, True], kind="stable")
-    win = norms.drop_duplicates("merge_key", keep="first").set_index("merge_key")
-    eids = {k: rules.stable_id("ent", k) for k in win.index}
-    return pd.DataFrame(
-        {
-            "surface_norm": norms["surface_norm"].values,
-            "entity_id": norms["merge_key"].map(eids).values,
-            "canonical_name": norms["merge_key"].map(win["canonical_surface"]).values,
-            "n_mentions": norms["n_mentions"].values,
-            "aliases": norms["aliases"].values,
+            "surface_norm": pc.cast(norms["surface_norm"], pa.string()),
+            "entity_id": eids.take(mid),
+            "canonical_name": pc.cast(
+                win["canonical_surface"].take(mid), pa.string()),
+            "n_mentions": norms["n_mentions"],
+            "aliases": norms["aliases"],
         }
     )
 
@@ -184,7 +183,7 @@ def build_mapping(mentions_ds, extra_pairs: list[tuple[str, str]] | None = None,
             batch_size=recombine_batch,
         )
     mapping = partials.groupby("bucket").map_groups(
-        _canonicalize_bucket, batch_format="pandas"
+        _canonicalize_bucket, batch_format="pyarrow"
     )
     if extra_pairs:
         mapping = _apply_union_find(mapping, extra_pairs)
@@ -230,11 +229,11 @@ def build_mapping_from_partials(partials_ds,
     yields identical rows, without the exchange's fixed cost."""
     if single_task:
         mapping = partials_ds.repartition(1).map_batches(
-            _canonicalize_bucket, batch_format="pandas", batch_size=None
+            _canonicalize_bucket, batch_format="pyarrow", batch_size=None
         )
     else:
         mapping = partials_ds.groupby("bucket").map_groups(
-            _canonicalize_bucket, batch_format="pandas"
+            _canonicalize_bucket, batch_format="pyarrow"
         )
     if extra_pairs:
         mapping = _apply_union_find(mapping, extra_pairs)
