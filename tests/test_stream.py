@@ -457,3 +457,32 @@ def test_run_kg_local_gate_equals_ray_path(case, link_shards, tmp_path,
         names = res["local"]["nodes"].to_pandas()["canonical_name"]
         assert names.str.contains("Qorvex").any()
         assert not names.str.contains("Bovar").any()
+
+
+@pytest.mark.parametrize("gate,link_shards", [
+    ("default", None), ("default", 3), ("ray", None), ("ray", 3)])
+def test_run_kg_equals_run_kg_resumable(gate, link_shards, tmp_path,
+                                        monkeypatch):
+    """The two drivers build the same four tables, as multisets of rows
+    with ``part`` dropped, from the same Parquet input (with re-sent
+    turns): at the default gates, where both run in the driver, and with
+    every gate at 0, where both run their Ray dataflow; with broadcast
+    and with sharded linking."""
+    from vectrain_ray.pipelines import resume as R
+    from vectrain_ray.pipelines.kg import run_kg
+
+    if gate == "ray":
+        monkeypatch.setattr(R, "LOCAL_MAX_ROWS", 0)
+        monkeypatch.setattr(R, "EDGE_FINALIZE_SINGLE_TASK_MAX", 0)
+    src = _kg_corpus("resent", tmp_path)
+    one = run_kg(src, out_dir=str(tmp_path / "kg"), link_shards=link_shards)
+    out = str(tmp_path / "resumable")
+    m = run_kg_resumable(src, out, num_parts=4, link_shards=link_shards or 0)
+    paths = {one["gate"]["kg"]["path"]} | {
+        d["path"] for d in m["gate"].values()}
+    assert paths == {"local" if gate == "default" else "ray"}
+    for tbl in ("mentions", "triples", "edges", "nodes"):
+        t = pq.read_table(os.path.join(out, tbl))
+        if "part" in t.column_names:
+            t = t.drop_columns(["part"])
+        assert _kg_rows(t) == _kg_rows(one[tbl]), tbl

@@ -1,18 +1,28 @@
-"""The KG phases as driver-local functions, pyarrow table in, table out:
-the one copy of the kernel sequence that both drivers run below
-``resume.LOCAL_MAX_ROWS``, with no Ray Data execution.
+"""The KG dataflow, written once for both drivers, in two execution modes.
 
   turns → extract → surface_partials → mapping → linker
   extract → mentions (encoded)
   extract → link (linker) → edge_partials → finalize (+ mapping)
           → edges, nodes
 
-``kg.run_kg`` writes the outputs as flat tables. ``resume.run_kg_resumable``
-passes ``num_parts``: every output then carries the ``part`` column that its
+The table functions (``extract`` … ``finalize``) run each phase in the
+driver on pyarrow tables, with no Ray Data execution; both drivers use them
+below ``resume.LOCAL_MAX_ROWS``. The ``*_ds`` functions are the same phases
+as Ray Data stages, Dataset in, Dataset out; above the gate both drivers
+chain them. Where a phase has a choice of execution (plain tasks or an
+actor pool) the caller passes its own decision in. ``background`` runs the
+overlapped sinks and ``PhaseClock`` keeps the per-phase wall times.
+
+``kg.run_kg`` builds flat tables. ``resume.run_kg_resumable`` passes
+``num_parts``: every output then carries the ``part`` column that its
 per-part files, manifests and per-shard partials are keyed on.
 """
 
 from __future__ import annotations
+
+import logging
+import time
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -22,7 +32,7 @@ import ray.data as rd
 from .. import rules
 from ..functions.dedup_exact import dedup_table
 from ..stages import canonicalize, materialize
-from ..stages.encode import encode_batch_task
+from ..stages.encode import ENCODERS, encode_batch_task
 from ..stages.extract import (
     extract_batch,
     filter_nonempty_text,
@@ -33,9 +43,13 @@ from ..stages.link import (
     EntityLinker,
     ShardedEntityLinker,
     build_link_index,
+    link_batch_task,
     make_link_shard_actors,
     write_link_index,
 )
+from ..tuning import pin_failed_fsspec_http_import
+
+_LOG = logging.getLogger("vectrain_ray.phases")
 
 # the mapping of a corpus with no mentions
 EMPTY_MAPPING = pa.schema([
@@ -145,3 +159,145 @@ def finalize(partials: pa.Table, mapping_t: pa.Table
         materialize._degree_row_for_union(materialize.partial_degrees(edges))])
     return (materialize.prov_to_struct(edges),
             materialize._merge_nodes_bucket(left))
+
+
+# --- the same phases as Ray Data stages ------------------------------------
+def with_parts(ds, num_parts: int | None):
+    """``add_part_column`` over every batch of ``ds``."""
+    if not num_parts:
+        return ds
+    return ds.map_batches(add_part_column, fn_kwargs={"num_parts": num_parts},
+                          batch_format="pyarrow")
+
+
+def extract_ds(turns, batch_size: int, num_parts: int | None = None):
+    """Empty text dropped, then extract_batch; each driver dedups re-sent
+    turns in front of it."""
+    return with_parts(turns.map_batches(
+        filter_nonempty_text, batch_format="pyarrow", batch_size=batch_size
+    ).map_batches(extract_batch, batch_format="pyarrow",
+                  batch_size=batch_size), num_parts)
+
+
+def surface_partials_ds(ext, num_parts: int | None = None):
+    extra = ("part",) if num_parts else ()
+    return canonicalize.surface_partials(with_parts(ext.map_batches(
+        mentions_table, batch_format="pyarrow"), num_parts), extra_cols=extra)
+
+
+def mentions_ds(ext, batch_size: int, pool: int, tasks: bool,
+                num_parts: int | None = None, max_task_retries: int = 0,
+                **enc_kwargs):
+    """Encoded mentions: plain ``encode_batch_task`` tasks when ``tasks``,
+    else an ``ENCODERS[kind]`` pool of ``pool`` actors whose tasks retry
+    ``max_task_retries`` times (the reference's RetryPolicy,
+    config.go:43-46, is parsed but never read; here it is enforced)."""
+    if tasks:  # encode_batch_task caches one encoder (and its surface
+        # memo) per worker process
+        encode = {"fn": encode_batch_task, "fn_kwargs": enc_kwargs}
+    else:
+        ctor = {k: v for k, v in enc_kwargs.items() if k != "kind"}
+        encode = {"fn": ENCODERS[enc_kwargs["kind"]],
+                  "fn_constructor_kwargs": ctor, "concurrency": pool,
+                  **({"max_task_retries": max_task_retries}
+                     if max_task_retries else {})}
+    return with_parts(ext.map_batches(
+        mentions_table, batch_format="pyarrow"
+    ).map_batches(**encode, batch_format="pyarrow", batch_size=batch_size),
+        num_parts)
+
+
+def link_ds(ext, linker_cls, linker_kwargs: dict, batch_size: int,
+            pool: int, tasks: bool, num_parts: int | None = None):
+    """Linked triples: plain ``link_batch_task`` tasks when ``tasks`` and
+    the index is broadcast, else a pool of ``pool`` ``linker_cls`` actors.
+    No task retries on the pool: its constructor takes an object-store ref,
+    and max_task_retries forces max_restarts>0, which deadlocks actor
+    (re)starts whose ctor args live in the object store (ray#53727,
+    reproduced here)."""
+    if tasks and linker_cls is EntityLinker:
+        # link_batch_task caches one EntityLinker per worker process
+        link = {"fn": link_batch_task, "fn_kwargs": linker_kwargs}
+    else:
+        link = {"fn": linker_cls, "fn_constructor_kwargs": linker_kwargs,
+                "concurrency": pool}
+    return with_parts(ext.map_batches(
+        triples_table, batch_format="pyarrow"
+    ).map_batches(**link, batch_format="pyarrow", batch_size=batch_size),
+        num_parts)
+
+
+def edge_partials_ds(linked, num_parts: int | None = None):
+    """Map-only edge partials: counts sum and packed provs concatenate, so
+    they merge in any grouping (the finalize dedups and caps)."""
+    extra = ("part",) if num_parts else ()
+    return linked.map_batches(
+        materialize.partial_edges, fn_kwargs={"extra_cols": extra},
+        batch_format="pyarrow",
+    ).map_batches(
+        materialize.recombine_edge_partials, fn_kwargs={"extra_cols": extra},
+        batch_format="pyarrow", batch_size=1 << 17,
+    )
+
+
+def finalize_ds(edges, mapping, single_task: bool):
+    """(edges with provenance structs, nodes) from the finalized edges,
+    which both consume: pass them materialized. ``single_task`` merges the
+    nodes in one task instead of the bucketed shuffle."""
+    degrees = edges.map_batches(materialize.partial_degrees,
+                                batch_format="pyarrow")
+    return (edges.map_batches(materialize.prov_to_struct,
+                              batch_format="pyarrow"),
+            materialize.nodes_with_degree(mapping, degrees,
+                                          single_task=single_task))
+
+
+# --- overlapped sinks and phase timing --------------------------------------
+def background(*fns):
+    """Start each callable on its own driver thread; return the join. The
+    join waits for every one, even after a failure: the callables are
+    parquet sinks, and one cancelled mid-write would race the caller's
+    cleanup. It logs each failure after the first, so a multi-sink outage
+    does not hide its second root cause, and re-raises the first."""
+    # concurrent writes race the failed fsspec.http import inside each
+    # write_parquet unless it is pinned first
+    pin_failed_fsspec_http_import()
+    pool = ThreadPoolExecutor(max_workers=len(fns))
+    futures = [pool.submit(fn) for fn in fns]
+    pool.shutdown(wait=False)  # its threads exit once their sinks return
+
+    def join() -> None:
+        wait(futures)
+        failed = [f.exception() for f in futures if f.exception()]
+        for e in failed[1:]:
+            _LOG.error("background sink failed (suppressed, first is "
+                       "raised): %r", e)
+        if failed:
+            raise failed[0]
+
+    return join
+
+
+class PhaseClock:
+    """Per-phase wall seconds, rounded to the millisecond, in ``walls``."""
+
+    def __init__(self):
+        self.start = self.last = time.time()
+        self.walls: dict[str, float] = {}
+
+    def lap(self, name: str, since: float | None = None) -> None:
+        """Record the time since ``since``, by default since the previous
+        lap (or the start), and start the next lap."""
+        now = time.time()
+        self.walls[name] = round(now - (self.last if since is None
+                                        else since), 3)
+        self.last = now
+
+    def timed(self, name: str, fn):
+        """``fn`` that records its own duration when called, outside the
+        laps (for work overlapped on a thread)."""
+        def run() -> None:
+            t0 = time.time()
+            fn()
+            self.walls[name] = round(time.time() - t0, 3)
+        return run

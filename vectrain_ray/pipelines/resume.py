@@ -1,4 +1,6 @@
-"""Resumable, partitioned KG pipeline — the checkpoint/exact-resume path.
+"""Resumable, partitioned KG pipeline — the checkpoint/exact-resume driver
+of the one KG dataflow in pipelines/phases.py (kg.run_kg is the in-memory
+driver of the same functions).
 
 Phases (each phase unit is idempotent + manifest-gated):
 
@@ -29,21 +31,23 @@ forces a relink), so its committed output is provably unchanged by data
 arriving elsewhere. Incremental ≡ one-shot stays exact
 (test_stream.test_trickle_append_relinks_only_touched_parts).
 
-Two execution paths, one set of kernels. Phase 1, the mention encode,
-phase 3 and StreamDriver's shard append compare their input rows with
+Two execution modes of one dataflow. Phase 1, the mention encode, phase 3
+and StreamDriver's shard append compare their input rows with
 LOCAL_MAX_ROWS; phases 2 and 4, whose inputs are pre-aggregated partials,
 compare theirs with EDGE_FINALIZE_SINGLE_TASK_MAX (and phase 4 also needs
-a broadcast-size mapping). Under its gate a phase runs the driver-local
-phase functions it shares with run_kg (pipelines/phases.py) and writes
-each part=K output with pq.write_table; at or above it the phase runs as
-Ray Data executions. Manifests, fingerprints, n_unsafe invalidation, the
-mapping marker and the commit-last order are the same on both sides. Each decision is logged (``gate=<phase>,
-path="local"|"ray", rows=…``) and returned in ``metrics["gate"]``. At the
-default gates a micro-batch poll runs wholly in the driver while the
-shards it touches hold under ~110 k turns (extraction yields ~2.3 rows per
-turn); so does a cold ingest of up to ~110 k turns. Larger inputs and batch
-builds take the Ray path phase by phase as each phase's input crosses its
-gate.
+a broadcast-size mapping). Under its gate a phase runs phases.py's table
+functions in the driver and writes each part=K output with
+pq.write_table; at or above it the phase chains phases.py's ``*_ds``
+stages, the same ones run_kg chains, as Ray Data executions, with the
+overlapped sinks on ``phases.background`` threads. Manifests,
+fingerprints, n_unsafe invalidation, the mapping marker and the
+commit-last order are the same on both sides. Each decision is logged
+(``gate=<phase>, path="local"|"ray", rows=…``) and returned in
+``metrics["gate"]``. At the default gates a micro-batch poll runs wholly in
+the driver while the shards it touches hold under ~110 k turns (extraction
+yields ~2.3 rows per turn); so does a cold ingest of up to ~110 k turns.
+Larger inputs and batch builds take the Ray path phase by phase as each
+phase's input crosses its gate.
 
 At 100 TB: P = O(cluster size × few); phases 1/3 are embarrassingly parallel
 per shard (each shard itself a streaming Ray Data pipeline); phases 2/4 only
@@ -53,6 +57,7 @@ the corpus.
 
 from __future__ import annotations
 
+import functools
 import glob
 import os
 import shutil
@@ -67,18 +72,9 @@ import ray.data as rd
 import logging
 
 from . import phases
-from .phases import add_part_column
 from ..functions.dedup_exact import dedup_exact
 from ..logs import log_event
 from ..stages import canonicalize, materialize
-from ..stages.encode import ENCODERS, encode_batch_task
-from ..stages.extract import (
-    extract_batch,
-    filter_nonempty_text,
-    mentions_table,
-    triples_table,
-)
-from ..stages.link import EntityLinker, link_batch_task
 from ..state.manifest import (
     PartitionManifest,
     clear_partition_outputs,
@@ -102,7 +98,7 @@ UNSAFE_SET_MAX_ENTITIES = 2_000_000
 EDGE_FINALIZE_SINGLE_TASK_MAX = 4_000_000
 # below this many input rows phases 1/3 materialize their transform ONCE
 # and feed every sink (extracted + surface partials + mention encode;
-# triples + edge partials) from the in-memory handle on threads, instead
+# triples + edge partials) from the in-memory handle, instead
 # of write → read-back → second execution. ~8M rows × ~300 B ≈ 2.4 GB of
 # object store — comfortably under a worker heap; above the gate the
 # streaming write + read-back path keeps memory flat (micro-batch polls
@@ -154,6 +150,13 @@ def write_parts(t: pa.Table, out_dir: str, table: str,
             os.path.join(d, name))
 
 
+def write_parts_ds(ds, out_dir: str, table: str,
+                   min_rows: int = 65536) -> None:
+    """``write_parts`` on the Ray path: one partitioned write_parquet."""
+    ds.write_parquet(os.path.join(out_dir, table), partition_cols=["part"],
+                     min_rows_per_file=min_rows)
+
+
 def _rows(files: list[str]) -> int:
     return sum(pq.read_metadata(f).num_rows for f in files)
 
@@ -161,25 +164,6 @@ def _rows(files: list[str]) -> int:
 def _part_files(out_dir: str, table: str, part: int) -> list[str]:
     return sorted(glob.glob(os.path.join(
         partition_output_dir(out_dir, table, part), "*.parquet")))
-
-
-def _join_all(fns: list, max_workers: int | None = None) -> None:
-    """Run callables on threads, wait for ALL, log every failure, re-raise
-    the first. Waiting for all (not FIRST_EXCEPTION) matters: the callables
-    are parquet sinks — cancelling siblings mid-write would leave partial
-    outputs racing the caller's cleanup; and logging the non-first failures
-    keeps a multi-sink outage from hiding its second root cause."""
-    from concurrent.futures import ThreadPoolExecutor, wait
-
-    with ThreadPoolExecutor(max_workers=max_workers or len(fns)) as pool:
-        futs = [pool.submit(fn) for fn in fns]
-        wait(futs)
-    errs = [f.exception() for f in futs if f.exception() is not None]
-    for e in errs[1:]:
-        _LOG.error("parallel sink failed (suppressed, first is raised): %r",
-                   e)
-    if errs:
-        raise errs[0]
 
 
 def _shard(input_path: str, out_dir: str, num_parts: int,
@@ -197,10 +181,8 @@ def _shard(input_path: str, out_dir: str, num_parts: int,
         ds = get_reader(source_kind)(input_path).select_columns(
             ["conv_id", "turn_idx", "text"])
 
-    ds.map_batches(add_part_column, fn_kwargs={"num_parts": num_parts},
-                   batch_format="pyarrow").write_parquet(
-        shards, partition_cols=["part"], min_rows_per_file=1 << 19
-    )
+    write_parts_ds(phases.with_parts(ds, num_parts), out_dir, "shards",
+                   1 << 19)
     open(marker, "w").write("ok")
     return shards
 
@@ -223,10 +205,8 @@ def _backfill_surface_partials(out_dir: str, num_parts: int) -> int:
         ext = _part_files(out_dir, "extracted", part)
         if ext and not glob.glob(os.path.join(sp_dir, "*.parquet")):
             clear_partition_outputs(out_dir, ["surface_partials"], part)
-            canonicalize.surface_partials(
-                rd.read_parquet(ext)
-                .map_batches(mentions_table, batch_format="pyarrow")
-            ).write_parquet(tmp)
+            phases.surface_partials_ds(rd.read_parquet(ext)).write_parquet(
+                tmp)
             os.rename(tmp, sp_dir)
             n += 1
     return n
@@ -248,7 +228,6 @@ def run_kg_resumable(
     link_ann_cells: int = 64,
     link_ann_probe: int | None = None,
     source_kind: str = "parquet",
-    pool_concurrency: int | None = None,
 ) -> dict:
     """Run (or resume) the partitioned pipeline. ``fail_after_phase1_parts``
     injects a crash after N phase-1 manifests commit (kill-point testing
@@ -257,11 +236,13 @@ def run_kg_resumable(
     Phases 1 and 3 run FUSED: every stale shard goes through ONE pass per
     phase (in the driver under LOCAL_MAX_ROWS, else one Ray Data
     execution; a pipeline per shard paid ~1-2 s of fixed cost per shard
-    per phase). ``pool_concurrency``: actors per encode/link pool; default
-    scales with the cluster (max(2, CPUs // 8), capped 8)."""
-    if pool_concurrency is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        pool_concurrency = max(2, min(8, cpus // 8))
+    per phase)."""
+    cpus = int(ray.cluster_resources().get("CPU", 8))
+    # actors per encode/link pool on the Ray path: scales with the cluster
+    pool = max(2, min(8, cpus // 8))
+    # below 16 CPUs concurrent executions starve each other's map and write
+    # tasks (measured), so only larger sessions overlap the Ray path's sinks
+    overlap = cpus >= 16
     os.makedirs(out_dir, exist_ok=True)
     man1 = PartitionManifest(os.path.join(out_dir, "p1_extract"))
     man_m = PartitionManifest(os.path.join(out_dir, "p2_mentions"))
@@ -269,16 +250,9 @@ def run_kg_resumable(
     gate: dict = {}
     metrics: dict = {"skipped_p1": 0, "skipped_p3": 0, "gate": gate}
 
-    _tw: dict = {}
-    _tc = [time.time()]
-
-    def _tick(name: str) -> None:
-        now = time.time()
-        _tw[name] = round(now - _tc[0], 3)
-        _tc[0] = now
-
+    clock = phases.PhaseClock()
     shards = _shard(input_path, out_dir, num_parts, source_kind)
-    _tick("shard")
+    clock.lap("shard")
 
     # ---- phase 1: per-shard extraction ----------------------------------
     p1_todo: list[tuple[int, list[str]]] = []
@@ -302,7 +276,7 @@ def run_kg_resumable(
         finisher)``: the extracted rows (a pyarrow table on the local
         path, a materialized Dataset under the fuse gate, else None) for
         phases 1.7 and 3 to reuse, and a finisher when the extracted sink
-        was deferred to a thread."""
+        was deferred to a background thread."""
         t0 = time.time()
         for part, _ in todo:
             clear_partition_outputs(out_dir, TABLES_P1, part)
@@ -321,7 +295,6 @@ def run_kg_resumable(
                         "surface_partials")
             _commit_p1(todo, t0)
             return ext, None
-        cpus = int(ray.cluster_resources().get("CPU", 8))
         ds = rd.read_parquet(all_files)
         # global bucketed dedup ≡ the old per-shard dedup: conv_id
         # determines part, so (conv_id, turn_idx) groups never span shards.
@@ -338,82 +311,39 @@ def run_kg_resumable(
         # work that takes ~1.5 s at 32-way). Streaming repartition +
         # a block-sized file floor keep task granularity ≈ 2×CPUs.
         ds = ds.repartition(target_num_rows_per_block=target)
-        ext = ds.map_batches(
-            filter_nonempty_text, batch_format="pyarrow",
-            batch_size=batch_size
-        ).map_batches(
-            extract_batch, batch_format="pyarrow", batch_size=batch_size
-        ).map_batches(
-            add_part_column, fn_kwargs={"num_parts": num_parts},
-            batch_format="pyarrow")
+        ext = phases.extract_ds(ds, batch_size, num_parts)
+
+        def _w_sp(src) -> None:
+            # every todo shard's surface partials in one execution, keyed
+            # per shard by the part column
+            write_parts_ds(phases.surface_partials_ds(src, num_parts),
+                           out_dir, "surface_partials")
+
         ext_m = None
         if n_in < FUSE_MATERIALIZE_MAX_ROWS:
             ext_m = ext.materialize()
 
-            def _w_ext() -> None:
-                ext_m.write_parquet(os.path.join(out_dir, "extracted"),
-                                    partition_cols=["part"],
-                                    min_rows_per_file=target)
-
-            def _w_sp() -> None:
-                if ext_m.count() == 0:
-                    return  # partials dir stays absent, as on the
-                    # read-back path with zero extracted files
-                mens = ext_m.map_batches(
-                    mentions_table, batch_format="pyarrow"
-                ).map_batches(add_part_column,
-                              fn_kwargs={"num_parts": num_parts},
-                              batch_format="pyarrow")
-                canonicalize.surface_partials(
-                    mens, extra_cols=("part",)
-                ).write_parquet(os.path.join(out_dir, "surface_partials"),
-                                partition_cols=["part"],
-                                min_rows_per_file=65536)
-
-            if cpus >= 16:
-                # phase 2 needs only the surface partials — write the
-                # extracted parquet on a thread joined (with the manifest
-                # commit) right after phase 2, so the sink overlaps the
-                # mapping rebuild
-                from concurrent.futures import ThreadPoolExecutor as _TPE
-
-                _ext_pool = _TPE(max_workers=1)
-                ext_fut = _ext_pool.submit(_w_ext)
-                _w_sp()
-
-                def _finish() -> None:
-                    try:
-                        ext_fut.result()
-                    finally:
-                        _ext_pool.shutdown(wait=False)
-                    _commit_p1(todo, t0)
-
-                return ext_m, _finish
-            # small sessions: concurrent executions starve each other's
-            # map/write tasks (measured) — run serially
-            _w_ext()
-            _w_sp()
+            _w_ext = functools.partial(write_parts_ds, ext_m, out_dir,
+                                       "extracted", target)
+            # phase 2 needs only the surface partials: with ``overlap`` the
+            # extracted sink joins (with the manifest commit) right after
+            # phase 2, so it overlaps the mapping rebuild
+            join_ext = phases.background(_w_ext) if overlap else None
+            if not overlap:
+                _w_ext()
+            # with no rows the partials dir stays absent, as on the
+            # read-back path with zero extracted files
+            if ext_m.count():
+                _w_sp(ext_m)
+            if join_ext is not None:
+                return ext_m, lambda: (join_ext(), _commit_p1(todo, t0))
         else:
-            ext.write_parquet(os.path.join(out_dir, "extracted"),
-                              partition_cols=["part"],
-                              min_rows_per_file=target)
-            # phase-1.5: every todo shard's surface partials in one
-            # execution, keyed per shard via
-            # surface_partials(extra_cols=("part",))
+            write_parts_ds(ext, out_dir, "extracted", target)
             ext_back = sorted(f for part, _ in todo
                               for f in _part_files(out_dir, "extracted",
                                                    part))
             if ext_back:
-                mens = rd.read_parquet(ext_back).map_batches(
-                    mentions_table, batch_format="pyarrow"
-                ).map_batches(add_part_column,
-                              fn_kwargs={"num_parts": num_parts},
-                              batch_format="pyarrow")
-                canonicalize.surface_partials(
-                    mens, extra_cols=("part",)
-                ).write_parquet(os.path.join(out_dir, "surface_partials"),
-                                partition_cols=["part"],
-                                min_rows_per_file=65536)
+                _w_sp(rd.read_parquet(ext_back))
         _commit_p1(todo, t0)
         return ext_m, None
 
@@ -440,7 +370,7 @@ def run_kg_resumable(
     p1_ran_parts: list[int] = sorted(p for p, _ in p1_todo)
     p1_ext, p1_finish = _run_p1(p1_todo) if p1_todo else (None, None)
 
-    _tick("p1")
+    clock.lap("p1")
     # ---- phase 1.7: mention encoding (pure function of extracted) -------
     # Mentions depend ONLY on (extracted input, encoder config) — never on
     # the mapping — so they carry their own manifest: a mapping-invalidated
@@ -464,35 +394,13 @@ def run_kg_resumable(
         else:
             if not isinstance(src, rd.Dataset):
                 src = rd.read_parquet(all_ext)
-            mentions = src.map_batches(mentions_table,
-                                       batch_format="pyarrow")
-            if n_ext < FUSE_MATERIALIZE_MAX_ROWS:
-                # plain tasks under the gate: encoder-pool spin-up
-                # dominates micro-batch encodes; encode_batch_task caches
-                # one encoder (and its surface memo) per worker process
-                mentions = mentions.map_batches(
-                    encode_batch_task,
-                    fn_kwargs=enc_kwargs,
-                    batch_format="pyarrow",
-                    batch_size=batch_size,
-                )
-            else:
-                mentions = mentions.map_batches(
-                    ENCODERS[encoder_kind],
-                    fn_constructor_kwargs={"dim": dim,
-                                           **(encoder_kwargs or {})},
-                    batch_format="pyarrow",
-                    batch_size=batch_size,
-                    concurrency=pool_concurrency,
-                    **({"max_task_retries": max_task_retries}
-                       if max_task_retries else {}),
-                )
-            mentions = mentions.map_batches(
-                add_part_column, fn_kwargs={"num_parts": num_parts},
-                batch_format="pyarrow")
-            mentions.write_parquet(os.path.join(out_dir, "mentions"),
-                                   partition_cols=["part"],
-                                   min_rows_per_file=65536)
+            # plain tasks under the fuse gate: encoder-pool spin-up
+            # dominates micro-batch encodes
+            write_parts_ds(phases.mentions_ds(
+                src, batch_size, pool,
+                tasks=n_ext < FUSE_MATERIALIZE_MAX_ROWS, num_parts=num_parts,
+                max_task_retries=max_task_retries, **enc_kwargs,
+            ), out_dir, "mentions")
         wall = round((time.time() - t0) / len(todo), 3)
         for part, ext_files in todo:
             man_m.commit(part, ext_files,
@@ -587,20 +495,17 @@ def run_kg_resumable(
     if link_shards and mapping is not None:
         open(shards_marker, "w").write(want)
 
-    import threading
-
-    _norms_lock = threading.Lock()
-    _lazy: dict = {"mapping_norms": None}
     n_map_rows = _rows(map_files)
     # join phase 1's deferred extracted write (it overlapped the mapping
     # rebuild) and commit its manifests — everything from here on reads
     # the extracted files, so they must be durable first
     if p1_finish is not None:
         p1_finish()
-    _tick("p2")
+    clock.lap("p2")
 
     # scan + launch the mention encode now that extracted files are final;
-    # on big sessions the thread overlaps phases 3–4 (joined pre-marker)
+    # with ``overlap`` it runs in the background through phases 3–4
+    # (joined pre-marker)
     m_todo: list[tuple[int, list[str]]] = []
     metrics["skipped_mentions"] = 0
     for part in range(num_parts):
@@ -612,19 +517,14 @@ def run_kg_resumable(
             metrics["skipped_mentions"] += 1
             continue
         m_todo.append((part, ext_files))
-    mentions_fut = None
-    _m_pool = None
+    join_mentions = None
     if m_todo:
         m_src = (p1_ext if sorted(p for p, _ in m_todo) == p1_ran_parts
                  else None)
-        if int(ray.cluster_resources().get("CPU", 8)) >= 16:
-            from concurrent.futures import ThreadPoolExecutor as _TPE
-
-            _m_pool = _TPE(max_workers=1)
-            mentions_fut = _m_pool.submit(_run_mentions_fused, m_todo,
-                                          m_src)
-        else:  # small sessions: two concurrent actor pools starve the
-            # map/write tasks feeding them (measured) — run serially
+        if overlap:
+            join_mentions = phases.background(
+                lambda: _run_mentions_fused(m_todo, m_src))
+        else:
             _run_mentions_fused(m_todo, m_src)
 
     # ---- phase 3: per-shard linking + mention encoding + edge partials --
@@ -653,16 +553,16 @@ def run_kg_resumable(
         if (n_map_rows >= UNSAFE_SET_MAX_ENTITIES
                 or n_tr >= UNSAFE_SET_MAX_ENTITIES):
             return count_unsafe_links_distributed(tr_files, mapping_dir)
-        with _norms_lock:  # load once per run, reuse per part
-            if _lazy["mapping_norms"] is None:
-                _lazy["mapping_norms"] = set(
-                    pq.read_table(map_files, columns=["surface_norm"])
-                    ["surface_norm"].to_pylist() if map_files else [])
         return count_unsafe_links(
             pq.read_table(tr_files, columns=["subj", "obj", "subj_id",
                                              "obj_id"]).to_pandas(),
-            _lazy["mapping_norms"],
+            _mapping_norms(),
         )
+
+    @functools.cache
+    def _mapping_norms() -> set:  # loaded once per run, reused per part
+        return set(pq.read_table(map_files, columns=["surface_norm"])
+                   ["surface_norm"].to_pylist() if map_files else [])
 
     def _run_p3_fused(todo: list[tuple[int, list[str]]]):
         """Every stale shard's linking in ONE pass: in the driver under
@@ -672,7 +572,8 @@ def run_kg_resumable(
         so the O(delta) skip logic and kill-anywhere convergence hold.
 
         Returns a finisher callable when the triples sink was deferred to
-        a thread (join + manifest commit, run pre-marker), else None."""
+        a background thread (join + manifest commit, run pre-marker), else
+        None."""
         t0 = time.time()
         p3_parts = sorted(p for p, _ in todo)
         metrics.setdefault("p3_parts_run", []).extend(p3_parts)
@@ -697,99 +598,44 @@ def run_kg_resumable(
         if not isinstance(ext, rd.Dataset):
             ext = rd.read_parquet(all_ext)
         fuse_small = n_ext < FUSE_MATERIALIZE_MAX_ROWS
-        linked = ext.map_batches(triples_table, batch_format="pyarrow")
-        if fuse_small and linker_cls is EntityLinker:
-            # plain tasks under the gate: pool spin-up (~1 s/poll) dwarfs
-            # micro-batch linking, and tasks let Ray fuse the whole
-            # triples→link→part chain into one operator. Same kernel —
-            # link_batch_task caches one EntityLinker per worker process.
-            linked = linked.map_batches(
-                link_batch_task,
-                fn_kwargs=dict(linker_kwargs),
-                batch_format="pyarrow",
-                batch_size=batch_size,
-            )
-        else:
-            linked = linked.map_batches(
-                linker_cls,
-                fn_constructor_kwargs=linker_kwargs,
-                batch_format="pyarrow",
-                batch_size=batch_size,
-                concurrency=pool_concurrency,
-                # no max_task_retries: ctor arg is an object-store ref —
-                # actor pools with max_restarts>0 + object-store ctor args
-                # can deadlock restarts (ray#53727); see pipelines/kg.py
-            )
-        linked = linked.map_batches(add_part_column,
-                                    fn_kwargs={"num_parts": num_parts},
-                                    batch_format="pyarrow")
+        # plain tasks under the fuse gate: pool spin-up (~1 s/poll) dwarfs
+        # micro-batch linking, and tasks let Ray fuse the whole
+        # triples→link→part chain into one operator
+        linked = phases.link_ds(ext, linker_cls, linker_kwargs, batch_size,
+                                pool, tasks=fuse_small, num_parts=num_parts)
 
-        # edge partials are MAP-ONLY over the linked triples: partial rows
-        # are mergeable (counts sum, packed provs concatenate — finalize
-        # dedups/caps globally), so the stored artifact needs no per-shard
-        # finalize exchange at all; phase 4 merges every shard's partials
-        # in its one global groupby. A shard with ZERO triples writes no
-        # files and simply has no partials dir.
+        # the stored edge partials need no per-shard finalize exchange at
+        # all; phase 4 merges every shard's partials in its one global
+        # groupby. A shard with ZERO triples writes no files and simply has
+        # no partials dir.
         def _ep_from(src) -> None:
-            ep = src.map_batches(
-                materialize.partial_edges,
-                fn_kwargs={"extra_cols": ("part",)},
-                batch_format="pyarrow",
-            ).map_batches(
-                materialize.recombine_edge_partials,
-                fn_kwargs={"extra_cols": ("part",)},
-                batch_format="pyarrow", batch_size=1 << 17,
-            )
-            ep.write_parquet(os.path.join(out_dir, "edge_partials"),
-                             partition_cols=["part"],
-                             min_rows_per_file=65536)
+            write_parts_ds(phases.edge_partials_ds(src, num_parts), out_dir,
+                           "edge_partials")
 
         if fuse_small:
             # link ONCE, then feed both sinks from the in-memory handle —
             # the written-triples read-back was a pure-fixed-cost second
             # execution per micro-batch poll
             linked_m = linked.materialize()
-
-            def _w_tr() -> None:
-                linked_m.write_parquet(os.path.join(out_dir, "triples"),
-                                       partition_cols=["part"],
-                                       min_rows_per_file=65536)
-
-            def _w_ep() -> None:
-                if linked_m.count() == 0:
-                    return
+            _w_tr = functools.partial(write_parts_ds, linked_m, out_dir,
+                                      "triples")
+            # phase 4 needs only the edge partials: with ``overlap`` the
+            # triples sink joins right before the final marker, so it
+            # overlaps the whole finalize phase
+            join_tr = phases.background(_w_tr) if overlap else None
+            if not overlap:
+                _w_tr()
+            if linked_m.count():
                 _ep_from(linked_m)
-
-            if int(ray.cluster_resources().get("CPU", 8)) >= 16:
-                # phase 4 needs only the edge partials — write triples on
-                # a thread that joins right before the final marker, so
-                # the triples sink overlaps the whole finalize phase
-                from concurrent.futures import ThreadPoolExecutor as _TPE
-
-                _tr_pool = _TPE(max_workers=1)
-                tr_fut = _tr_pool.submit(_w_tr)
-                _w_ep()
-
-                def _finish() -> None:
-                    try:
-                        tr_fut.result()
-                    finally:
-                        _tr_pool.shutdown(wait=False)
-                    _commit_p3(todo, t0)
-
-                return _finish
-            _w_tr()
-            _w_ep()
+            if join_tr is not None:
+                return lambda: (join_tr(), _commit_p3(todo, t0))
         else:
-            linked.write_parquet(os.path.join(out_dir, "triples"),
-                                 partition_cols=["part"],
-                                 min_rows_per_file=65536)
+            write_parts_ds(linked, out_dir, "triples")
             tr_back = sorted(f for part, _ in todo
                              for f in _part_files(out_dir, "triples", part))
             if tr_back:
-                _ep_from(rd.read_parquet(tr_back).map_batches(
-                    add_part_column, fn_kwargs={"num_parts": num_parts},
-                    batch_format="pyarrow"))
+                _ep_from(phases.with_parts(rd.read_parquet(tr_back),
+                                           num_parts))
 
         _commit_p3(todo, t0)
         return None
@@ -808,7 +654,7 @@ def run_kg_resumable(
                       part=part, triples_out=n_tr, wall_sec=wall,
                       fused=len(todo))
 
-    # p3_finish: non-None when the triples sink was deferred to a thread —
+    # p3_finish: non-None when the triples sink was deferred —
     # it joins the write and THEN commits the p3 manifests, called right
     # before the final marker (a crash in between redoes p3: coarser retry,
     # same convergence, and phase 4 reads only the durable edge partials)
@@ -817,7 +663,7 @@ def run_kg_resumable(
     for a in shard_actors:  # linking done → free the index actors
         ray.kill(a)
 
-    _tick("p3")
+    clock.lap("p3")
     # ---- phase 4: global finalize (small pre-aggregated inputs) ---------
     final_marker = os.path.join(out_dir, "_FINAL_DONE")
     ep_all = sorted(glob.glob(os.path.join(out_dir, "edge_partials", "part=*", "*.parquet")))
@@ -864,42 +710,29 @@ def run_kg_resumable(
             edges = ep.groupby("bucket").map_groups(
                 materialize._finalize_edges_bucket, batch_format="pyarrow"
             ).materialize()
-
-        def _w_edges() -> None:
-            edges.map_batches(
-                materialize.prov_to_struct, batch_format="pyarrow"
-            ).write_parquet(os.path.join(out_dir, "edges"))
-
-        def _w_nodes() -> None:
-            degree_partials = edges.map_batches(
-                materialize.partial_degrees, batch_format="pyarrow"
-            )
-            mapping = rd.read_parquet(mapping_dir)
-            materialize.nodes_with_degree(
-                mapping, degree_partials, single_task=small
-            ).write_parquet(os.path.join(out_dir, "nodes"))
-
-        # both sinks consume the MATERIALIZED edges — overlap them; the
-        # final marker commits only after both are durable
-        if int(ray.cluster_resources().get("CPU", 8)) >= 16:
-            _join_all([_w_edges, _w_nodes])
+        edges_out, nodes = phases.finalize_ds(
+            edges, rd.read_parquet(mapping_dir), small)
+        # both sinks consume the MATERIALIZED edges; the final marker
+        # commits only after both are durable
+        sinks = (lambda: edges_out.write_parquet(os.path.join(out_dir,
+                                                              "edges")),
+                 lambda: nodes.write_parquet(os.path.join(out_dir, "nodes")))
+        if overlap:
+            phases.background(*sinks)()
         else:
-            _w_edges()
-            _w_nodes()
+            for sink in sinks:
+                sink()
     # join every deferred sink, THEN commit p3 manifests, THEN the marker:
     # _FINAL_DONE must imply every table (mentions + triples included)
     # durable and every manifest committed
-    if mentions_fut is not None:
-        try:
-            mentions_fut.result()
-        finally:
-            _m_pool.shutdown(wait=False)
+    if join_mentions is not None:
+        join_mentions()
     if p3_finish is not None:
         p3_finish()
     open(final_marker, "w").write("ok")
 
-    _tick("p4")
-    metrics["phase_wall"] = _tw
+    clock.lap("p4")
+    metrics["phase_wall"] = clock.walls
     metrics["p1_parts"] = man1.completed_parts()
     metrics["p3_parts"] = man3.completed_parts()
     return metrics

@@ -38,7 +38,8 @@ import pyarrow.parquet as pq
 import ray.data as rd
 
 from ..logs import log_event
-from .resume import add_part_column, local_gate, run_kg_resumable, write_parts
+from .phases import add_part_column, with_parts
+from .resume import local_gate, run_kg_resumable, write_parts
 
 _LOG = logging.getLogger("vectrain_ray.stream")
 
@@ -150,12 +151,9 @@ class StreamDriver:
                 num_parts=self.num_parts),
                 self.out_dir, "shards", f"src{tag}_local.parquet")
             return
-        rd.read_parquet(
+        with_parts(rd.read_parquet(
             sorted(paths), columns=["conv_id", "turn_idx", "text"]
-        ).map_batches(
-            add_part_column, fn_kwargs={"num_parts": self.num_parts},
-            batch_format="pyarrow"
-        ).write_parquet(
+        ), self.num_parts).write_parquet(
             self.shards_dir,
             partition_cols=["part"],
             filename_provider=_SrcFilenameProvider(tag),

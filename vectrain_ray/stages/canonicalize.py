@@ -214,30 +214,15 @@ def surface_partials(mentions_ds, collapse_batch: int = 1 << 20,
     )
 
 
-def build_mapping_from_partials(partials_ds,
-                                extra_pairs: list[tuple[str, str]] | None = None,
-                                single_task: bool = False):
+def build_mapping_from_partials(partials_ds):
     """Stored surface partials (any number of shards) → mapping Dataset,
     byte-identical to build_mapping over the union of the shards' mentions
     (equivalence-tested): sums are associative and _canonicalize_bucket
-    sees the same per-bucket totals either way.
-
-    ``single_task=True`` (caller measured the partials small, e.g. via
-    parquet footers) replaces the 64-bucket sort-shuffle with
-    repartition(1) + one vectorized canonicalize task — the function
-    groups by merge_key internally, so one frame covering all buckets
-    yields identical rows, without the exchange's fixed cost."""
-    if single_task:
-        mapping = partials_ds.repartition(1).map_batches(
-            _canonicalize_bucket, batch_format="pyarrow", batch_size=None
-        )
-    else:
-        mapping = partials_ds.groupby("bucket").map_groups(
-            _canonicalize_bucket, batch_format="pyarrow"
-        )
-    if extra_pairs:
-        mapping = _apply_union_find(mapping, extra_pairs)
-    return mapping
+    sees the same per-bucket totals either way. Small partials take the
+    driver-local ``pipelines.phases.mapping`` instead."""
+    return partials_ds.groupby("bucket").map_groups(
+        _canonicalize_bucket, batch_format="pyarrow"
+    )
 
 
 def _apply_union_find(mapping_ds, pairs: list[tuple[str, str]]):
