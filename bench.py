@@ -177,7 +177,7 @@ def run_bench() -> dict:
         ("ngram_containment", Q.q_ngram_containment),
         ("cluster_purity", Q.q_cluster_purity),
         # NOTE: runs after dedup_minhash, which warms the shared
-        # clustering artifact (_MINHASH_CLUSTERS_CACHE) — this row times
+        # clustering artifact (the "minhash_clusters" memo) — this row times
         # the INCREMENTAL cost (quality join + keep-best exchange), by
         # design; time it alone for the end-to-end cost
         ("dedup_keep_best", Q.q_dedup_keep_best),

@@ -1,6 +1,8 @@
 """run_kg on a 1-CPU cluster finishes on both of its paths. The Ray path
 once hung there: the encoder actor, started beside the canonicalize
-shuffle, held the only CPU slot the shuffle's tasks waited for."""
+shuffle, held the only CPU slot the shuffle's tasks waited for. The
+sharded link once hung there too: its router pool took a whole CPU
+beside K shard actors of 0.1 CPU each."""
 
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from vectrain_ray.pipelines.kg import run_kg
 if sys.argv[1] == "ray":
     resume.LOCAL_MAX_ROWS = 0
 res = run_kg(rd.from_arrow(synth.generate_transcripts(100, 8, seed=5)),
-             out_dir=sys.argv[2])
+             out_dir=sys.argv[2], link_shards=int(sys.argv[3]) or None)
 print(res["gate"]["kg"]["path"], res["edges"].count())
 ray.shutdown()
 """
@@ -31,8 +33,17 @@ ray.shutdown()
 
 @pytest.mark.parametrize("path", ["local", "ray"])
 def test_run_kg_finishes_at_one_cpu(path, tmp_path):
-    p = run_python(["-c", _SCRIPT, path, str(tmp_path / "out")], TIMEOUT_S,
-                   f"run_kg's {path} path at 1 CPU")
+    _finishes(path, 0, tmp_path)
+
+
+def test_sharded_link_finishes_at_one_cpu(tmp_path):
+    _finishes("ray", 3, tmp_path)
+
+
+def _finishes(path: str, link_shards: int, tmp_path):
+    p = run_python(["-c", _SCRIPT, path, str(tmp_path / "out"),
+                    str(link_shards)], TIMEOUT_S,
+                   f"run_kg's {path} path at 1 CPU, {link_shards} shards")
     assert p.returncode == 0, p.stderr[-2000:]
     got_path, n_edges = p.stdout.strip().splitlines()[-1].split()
     assert got_path == path and int(n_edges) > 0

@@ -1,6 +1,6 @@
 """Local mirror of the driver's correctness gate: run every queries() entry
-and compare against oracle_sql() via DuckDB (row count + sorted-column value
-frame equality). Usage:
+and compare against oracle_sql() via DuckDB (row count, Arrow column types,
+sorted-column value frame equality). Usage:
 
     python tools/check_oracle.py [sf_dir] [query ...]
 """
@@ -15,6 +15,45 @@ import pandas as pd
 
 TABLES = ["region", "nation", "customer", "supplier", "part", "orders",
           "lineitem", "events", "documents", "embeddings"]
+
+
+def arrow_types(res) -> dict | None:
+    """Column name → Arrow type of a query result (a Dataset's blocks as
+    Arrow, the first non-empty one); ``None`` for a zero-block Dataset."""
+    import pyarrow as pa
+    import ray
+    import ray.data
+
+    if isinstance(res, ray.data.Dataset):
+        tables = ray.get(res.to_arrow_refs())
+        if not tables:
+            return None
+        sch = next((t for t in tables if t.num_rows), tables[0]).schema
+    elif isinstance(res, pa.Table):
+        sch = res.schema
+    else:
+        sch = pa.Schema.from_pandas(res, preserve_index=False)
+    return {f.name: f.type for f in sch}
+
+
+def _norm_type(t):
+    """Fold the Arrow physical variants that carry the same values (64-bit
+    offsets, list child field names) — a dtype difference is a different
+    LOGICAL type, e.g. int64 against DuckDB's HUGEINT (decimal128(38, 0))."""
+    import pyarrow as pa
+
+    if pa.types.is_large_string(t):
+        return pa.string()
+    if pa.types.is_large_binary(t):
+        return pa.binary()
+    if pa.types.is_list(t) or pa.types.is_large_list(t):
+        return pa.list_(_norm_type(t.value_type))
+    return t
+
+
+def type_diffs(mine: dict, oracle: dict) -> list[str]:
+    return [f"{c}: {mine[c]} vs oracle {oracle[c]}" for c in sorted(oracle)
+            if c in mine and _norm_type(mine[c]) != _norm_type(oracle[c])]
 
 
 def to_pandas(res) -> pd.DataFrame:
@@ -46,6 +85,7 @@ def canon(df: pd.DataFrame) -> pd.DataFrame:
 
 def main():
     import ray
+    import ray.data
 
     ray.init(address="local", num_cpus=8, include_dashboard=False,
              logging_level="ERROR", ignore_reinit_error=True)
@@ -73,7 +113,11 @@ def main():
             continue
         t0 = time.time()
         try:
-            mine = canon(to_pandas(fn(sf_dir)))
+            res = fn(sf_dir)
+            if isinstance(res, ray.data.Dataset):
+                res = res.materialize()  # one execution for types + values
+            mine_types = arrow_types(res)
+            mine = canon(to_pandas(res))
         except Exception as ex:
             print(f"FAIL {name}: query raised {type(ex).__name__}: {ex}")
             n_fail += 1
@@ -84,7 +128,9 @@ def main():
             n_pass += 1
             continue
         try:
-            oracle = canon(con.sql(sqls[name]).df())
+            rel = con.sql(sqls[name])
+            oracle_types = {f.name: f.type for f in rel.limit(0).arrow().schema}
+            oracle = canon(rel.df())
         except Exception as ex:
             print(f"FAIL {name}: oracle SQL raised {ex}")
             n_fail += 1
@@ -97,7 +143,15 @@ def main():
             print(f"FAIL {name}: cols {list(mine.columns)} vs {list(oracle.columns)}")
             n_fail += 1
             continue
+        diffs = ([] if mine_types is None and not len(mine)
+                 else type_diffs(mine_types or {}, oracle_types))
+        if diffs:
+            print(f"FAIL {name}: dtypes differ: {' | '.join(diffs)}")
+            n_fail += 1
+            continue
         try:
+            # dtypes are compared on the Arrow types above; canon() turns
+            # object columns into strings, so the frames compare values only
             pd.testing.assert_frame_equal(mine, oracle, check_dtype=False,
                                           check_exact=False, rtol=1e-6, atol=1e-6)
             print(f"PASS {name}: {len(mine)} rows ({dt:.1f}s)")

@@ -23,7 +23,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..state.unionfind import UnionFind
-from .dedup_exact import dedup_exact  # re-export  # noqa: F401
+from .dedup_exact import dedup_exact, exchange  # dedup_exact re-exported
 
 _SENTINEL = np.uint64(0xFFFFFFFFFFFFFFFF)  # signature of the empty shingle set
 _SH_TYPE = pa.list_(pa.uint64())  # per-doc shingle-hash sketch column type
@@ -290,18 +290,9 @@ def minhash_candidate_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
         batch_size=1024,
     )
 
-    def add_coarse(df: pd.DataFrame) -> pd.DataFrame:
-        from .dedup_exact import key_buckets
-
-        df["coarse"] = key_buckets(df, ["band_id", "band_hash"], num_coarse)
-        return df
-
-    pairs = banded.map_batches(add_coarse, batch_format="pandas").groupby(
-        "coarse"
-    ).map_groups(
-        _pairs_from_coarse_bucket_factory(id_col, max_bucket),
-        batch_format="pandas",
-    )
+    pairs = exchange(banded,
+                     _pairs_from_coarse_bucket_factory(id_col, max_bucket),
+                     ["band_id", "band_hash"], num_coarse)
     if not dedup:
         return pairs
     # same pair can surface from several bands → exact-dedup on (id_a, id_b)
@@ -409,12 +400,6 @@ def _as_array(col) -> pa.Array:
     return col
 
 
-def _id_bucket(vals, n: int) -> pa.Array:
-    """Process-stable bucket of an id array (int or string)."""
-    h = pd.util.hash_pandas_object(pd.Series(vals), index=False).to_numpy()
-    return pa.array((h % n).astype(np.int32), pa.int32())
-
-
 def verify_pairs_jaccard(cands, corpus, id_col: str = "doc_id",
                          text_col: str = "text", k: int = 5,
                          threshold: float = 0.8, num_buckets: int = 32,
@@ -431,8 +416,6 @@ def verify_pairs_jaccard(cands, corpus, id_col: str = "doc_id",
     Nothing corpus-sized ever reaches the driver; the sketches flow through
     exactly one all-to-all each. Requires unique ids in ``corpus``.
     Returns Dataset (id_a, id_b) of pairs with Jaccard ≥ threshold."""
-    from .dedup_exact import key_buckets
-
     if sketches is None:
         sketches = corpus.map_batches(
             sketch_batch,
@@ -455,7 +438,6 @@ def verify_pairs_jaccard(cands, corpus, id_col: str = "doc_id",
                 "id_b": pa.concat_arrays([ib, ib]),
                 "sh": pa.nulls(2 * t.num_rows, type=_SH_TYPE),
                 "role": pa.array(["p"] * (2 * t.num_rows), pa.string()),
-                "jbucket": _id_bucket(doc.to_pandas(), num_buckets),
             }
         )
 
@@ -468,7 +450,6 @@ def verify_pairs_jaccard(cands, corpus, id_col: str = "doc_id",
                 "id_b": doc,
                 "sh": _as_array(t["sh"]),
                 "role": pa.array(["s"] * t.num_rows, pa.string()),
-                "jbucket": _id_bucket(doc.to_pandas(), num_buckets),
             }
         )
 
@@ -488,13 +469,10 @@ def verify_pairs_jaccard(cands, corpus, id_col: str = "doc_id",
                     "id_a": pd.Series([], dtype=id_dtype),
                     "id_b": pd.Series([], dtype=id_dtype),
                     "sh": pd.Series([], dtype="object"),
-                    "pbucket": pd.Series([], dtype="int32"),
                 }
             )
         pairs = pairs[["doc_id", "id_a", "id_b"]].drop_duplicates()
-        m = pairs.merge(src, on="doc_id", how="inner")
-        m["pbucket"] = key_buckets(m, ["id_a", "id_b"], num_buckets)
-        return m
+        return pairs.merge(src, on="doc_id", how="inner")
 
     def verify(g: pd.DataFrame) -> pd.DataFrame:
         a = g[g["doc_id"] == g["id_a"]][["id_a", "id_b", "sh"]]
@@ -509,13 +487,8 @@ def verify_pairs_jaccard(cands, corpus, id_col: str = "doc_id",
         return pd.DataFrame({"id_a": pd.Series(oa, dtype=id_dtype),
                              "id_b": pd.Series(ob, dtype=id_dtype)})
 
-    return (
-        sides.union(sk)
-        .groupby("jbucket")
-        .map_groups(attach, batch_format="pandas")
-        .groupby("pbucket")
-        .map_groups(verify, batch_format="pandas")
-    )
+    attached = exchange(sides.union(sk), attach, ["doc_id"], num_buckets)
+    return exchange(attached, verify, ["id_a", "id_b"], num_buckets)
 
 
 def cluster_pairs(pairs_rows, id_col_a: str = "id_a", id_col_b: str = "id_b"):
@@ -540,7 +513,6 @@ def _assign_clusters_distributed(ds, verified_pairs, id_col: str):
     merge attaches component ids to the corpus id column. Docs in no pair
     keep themselves. Output rows are identical to the broadcast path
     (tests force driver_pairs_max=0 and compare)."""
-    from .dedup_exact import key_buckets
     from .graph import connected_components
 
     def own_keeper(t: pa.Table) -> pa.Table:
@@ -570,11 +542,6 @@ def _assign_clusters_distributed(ds, verified_pairs, id_col: str):
         ids_rows, batch_format="pyarrow"
     ).union(comp.map_batches(comp_rows, batch_format="pyarrow"))
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        b = key_buckets(pd.DataFrame({"id": t["id"].to_pandas()}), ["id"],
-                        64)
-        return t.append_column("bucket", pa.array(b.values, pa.int32()))
-
     def merge(t: pa.Table) -> pa.Table:
         # ALL-Arrow: a pandas round-trip would coerce the int64-with-nulls
         # ``cl`` column to float64 and silently round 64-bit ids (> 2^53) —
@@ -588,8 +555,7 @@ def _assign_clusters_distributed(ds, verified_pairs, id_col: str):
         return pa.table({id_col: m["id"], "cluster_id": cl,
                          "is_keeper": pc.equal(m["id"], cl)})
 
-    return unioned.map_batches(add_bucket, batch_format="pyarrow").groupby(
-        "bucket").map_groups(merge, batch_format="pyarrow")
+    return exchange(unioned, merge, ["id"], batch_format="pyarrow")
 
 
 def dedup_minhash(ds, id_col: str = "doc_id", text_col: str = "text",
@@ -794,8 +760,6 @@ def simhash_candidate_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
                             batch_format="pyarrow")
 
     def explode_bands(df: pd.DataFrame) -> pd.DataFrame:
-        from .dedup_exact import key_buckets
-
         parts = []
         for band in range(4):
             parts.append(pd.DataFrame(
@@ -806,9 +770,7 @@ def simhash_candidate_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
                     "band_val": df[f"sh_band{band}"].values,
                 }
             ))
-        out = pd.concat(parts, ignore_index=True)
-        out["coarse"] = key_buckets(out, ["band", "band_val"], num_coarse)
-        return out
+        return pd.concat(parts, ignore_index=True)
 
     def pairs_in_coarse(g: pd.DataFrame) -> pd.DataFrame:
         keys = ["band", "band_val"]
@@ -833,9 +795,6 @@ def simhash_candidate_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
             subset=["id_a", "id_b"]
         )
 
-    allp = (
-        hashed.map_batches(explode_bands, batch_format="pandas")
-        .groupby("coarse")
-        .map_groups(pairs_in_coarse, batch_format="pandas")
-    )
+    allp = exchange(hashed.map_batches(explode_bands, batch_format="pandas"),
+                    pairs_in_coarse, ["band", "band_val"], num_coarse)
     return dedup_exact(allp, ["id_a", "id_b"])

@@ -13,8 +13,10 @@ repo's two standing policies:
   hash join (``Dataset.join``) — the node table never sits on one worker.
 * **combiner before every shuffle**: each iteration's exchange is a
   per-batch Arrow ``group_by`` partial (min / sum) over the batch's
-  candidates, then ONE bucketed groupby over node-sized partials — edges
-  themselves never shuffle after the initial distinct.
+  candidates, then ONE node-bucketed ``exchange`` (functions/dedup_exact)
+  over node-sized partials — edges themselves never shuffle after the
+  initial distinct. The triangle family's wedge and merge exchanges go
+  through the same helper, hashing only their key columns.
 
 Determinism: label mins are plain value order (string = byte order, int =
 numeric) and PageRank is **integer** arithmetic (floor division) — both
@@ -31,7 +33,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from .dedup_exact import dedup_exact, key_buckets
+from .dedup_exact import dedup_exact, exchange
 
 NUM_BUCKETS = 64
 # above this many nodes, per-iteration label/rank/degree lookups switch from
@@ -106,16 +108,10 @@ def _bucketed_sum(parts, value_col: str):
     """(node, value) partial rows → one row per node with the summed value:
     bucket on node, vectorized pandas sum within each bucket."""
 
-    def add_bucket(tt: pa.Table) -> pa.Table:
-        b = key_buckets(pd.DataFrame({"node": tt["node"].to_pandas()}),
-                        ["node"], NUM_BUCKETS)
-        return tt.append_column("bucket", pa.array(b.values, pa.int32()))
-
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby("node", sort=True)[value_col].sum().reset_index()
 
-    return parts.map_batches(add_bucket, batch_format="pyarrow").groupby(
-        "bucket").map_groups(merge, batch_format="pandas")
+    return exchange(parts, merge, ["node"], NUM_BUCKETS)
 
 
 def _out_degrees(e_dir):
@@ -135,17 +131,10 @@ def _bucketed_min(parts, value_col: str):
     """(node, value) partial rows → one row per node with the min value:
     bucket on node, vectorized pandas min within each bucket."""
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        b = key_buckets(pd.DataFrame({"node": t["node"].to_pandas()}),
-                        ["node"], NUM_BUCKETS)
-        return t.append_column("bucket", pa.array(b.values, pa.int32()))
-
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby("node", sort=True)[value_col].min().reset_index()
 
-    return parts.map_batches(add_bucket, batch_format="pyarrow").groupby(
-        "bucket"
-    ).map_groups(merge, batch_format="pandas")
+    return exchange(parts, merge, ["node"], NUM_BUCKETS)
 
 
 def connected_components(edges, src: str = "src", dst: str = "dst",
@@ -380,15 +369,8 @@ def _degree_table(und):
         g = both.group_by(["node"]).aggregate([("node", "count")])
         return g.rename_columns(["node", "s"])
 
-    def add_bucket(tt: pa.Table) -> pa.Table:
-        b = key_buckets(pd.DataFrame({"node": tt["node"].to_pandas()}),
-                        ["node"], NUM_BUCKETS)
-        return tt.append_column("bucket", pa.array(b.values, pa.int32()))
-
-    return und.map_batches(deg_partial, batch_format="pyarrow").map_batches(
-        add_bucket, batch_format="pyarrow").groupby("bucket").map_groups(
-        lambda g: g.groupby("node", sort=True)["s"].sum().reset_index(),
-        batch_format="pandas").materialize()
+    return _bucketed_sum(und.map_batches(deg_partial, batch_format="pyarrow"),
+                         "s").materialize()
 
 
 def _und_deg_oriented(edges, src: str, dst: str, broadcast_max: int,
@@ -408,11 +390,6 @@ def _und_deg_oriented(edges, src: str, dst: str, broadcast_max: int,
 
     if deg is None:
         deg = _degree_table(und)
-    def _add_a_bucket(t: pa.Table) -> pa.Table:
-        b = key_buckets(pd.DataFrame({"a": t["a"].to_pandas()}), ["a"],
-                        NUM_BUCKETS)
-        return t.append_column("bucket", pa.array(b.values, pa.int32()))
-
     if deg.count() >= broadcast_max:
         # join path: orient via two hash joins against the degree Dataset —
         # the node-sized degree table never leaves the partitioned exchange
@@ -444,8 +421,7 @@ def _und_deg_oriented(edges, src: str, dst: str, broadcast_max: int,
                                     batch_format="pyarrow").materialize()
         oriented = oriented_db.map_batches(lambda t: t.select(["a", "b"]),
                                            batch_format="pyarrow")
-        ranked = oriented_db.map_batches(_add_a_bucket,
-                                         batch_format="pyarrow")
+        ranked = oriented_db
     else:
         deg_k, deg_v = _pull_pairs(deg, "node", "s")
 
@@ -467,7 +443,7 @@ def _und_deg_oriented(edges, src: str, dst: str, broadcast_max: int,
             """Attach (deg, id) order rank for sorting oriented adjacency."""
             db = pc.cast(pc.take(_v, pc.index_in(t["b"], value_set=_k)),
                          pa.int64())
-            return _add_a_bucket(t.append_column("db", db))
+            return t.append_column("db", db)
 
         ranked = oriented.map_batches(orient_rank_fn, batch_format="pyarrow")
 
@@ -522,8 +498,7 @@ def triangles_per_node(edges, src: str = "src", dst: str = "dst",
             "degree": pa.array([], pa.int64()),
             "n_tri": pa.array([], pa.int64())}))
 
-    wedges = ranked.groupby("bucket").map_groups(_wedges_bucket,
-                                                 batch_format="pandas")
+    wedges = exchange(ranked, _wedges_bucket, ["a"], NUM_BUCKETS)
 
     def tag(is_edge: int):
         def fn(t: pa.Table) -> pa.Table:
@@ -533,10 +508,7 @@ def triangles_per_node(edges, src: str = "src", dst: str = "dst",
                     "apex", pa.nulls(out.num_rows, ntype))
             else:
                 out = t.select(["a", "b", "apex"])
-            b = key_buckets(out.select(["a", "b"]).to_pandas(),
-                            ["a", "b"], NUM_BUCKETS)
-            return out.append_column("bucket",
-                                     pa.array(b.values, pa.int32()))
+            return out
 
         return fn
 
@@ -560,8 +532,7 @@ def triangles_per_node(edges, src: str = "src", dst: str = "dst",
             name="p_tri")
         return c
 
-    corners = tagged.groupby("bucket").map_groups(corners_bucket,
-                                                  batch_format="pandas")
+    corners = exchange(tagged, corners_bucket, ["a", "b"], NUM_BUCKETS)
 
     # ONE node-bucketed merge of degrees (one row per node) with the
     # per-(a,b)-bucket corner partials
@@ -575,10 +546,7 @@ def triangles_per_node(edges, src: str = "src", dst: str = "dst",
                 out = pa.table({"node": t["node"],
                                 "deg": pa.nulls(t.num_rows, pa.int64()),
                                 "p_tri": pc.cast(t["p_tri"], pa.int64())})
-            b = key_buckets(out.select(["node"]).to_pandas(), ["node"],
-                            NUM_BUCKETS)
-            return out.append_column("bucket",
-                                     pa.array(b.values, pa.int32()))
+            return out
 
         return fn
 
@@ -595,8 +563,7 @@ def triangles_per_node(edges, src: str = "src", dst: str = "dst",
             "degree": m["deg"].astype("int64"),
             "n_tri": m["p_tri"].fillna(0).astype("int64")})
 
-    return both.groupby("bucket").map_groups(merge_bucket,
-                                             batch_format="pandas")
+    return exchange(both, merge_bucket, ["node"], NUM_BUCKETS)
 
 
 def _attach_degrees(und, deg, broadcast_max: int):
@@ -713,8 +680,7 @@ def edge_jaccard(edges, src: str = "src", dst: str = "dst",
     und, deg, oriented, ranked = _und_deg_oriented(
         edges, src, dst, broadcast_max, und=und, deg=deg)
 
-    wedges = ranked.groupby("bucket").map_groups(_wedges_bucket,
-                                                 batch_format="pandas")
+    wedges = exchange(ranked, _wedges_bucket, ["a"], NUM_BUCKETS)
 
     def tag(is_edge: int):
         def fn(t: pa.Table) -> pa.Table:
@@ -724,10 +690,7 @@ def edge_jaccard(edges, src: str = "src", dst: str = "dst",
                     "apex", pa.nulls(out.num_rows, ntype))
             else:
                 out = t.select(["a", "b", "apex"])
-            b = key_buckets(out.select(["a", "b"]).to_pandas(),
-                            ["a", "b"], NUM_BUCKETS)
-            return out.append_column("bucket",
-                                     pa.array(b.values, pa.int32()))
+            return out
 
         return fn
 
@@ -753,8 +716,8 @@ def edge_jaccard(edges, src: str = "src", dst: str = "dst",
         return pd.DataFrame({"x": x, "y": y}).groupby(
             ["x", "y"], sort=False).size().reset_index(name="p")
 
-    partials = tagged.groupby("bucket").map_groups(edge_partials_bucket,
-                                                   batch_format="pandas")
+    partials = exchange(tagged, edge_partials_bucket, ["a", "b"],
+                        NUM_BUCKETS)
 
     # ONE edge-bucketed merge of degree-attached edges (one row per edge)
     # with the per-(a,b)-bucket common-neighbor partials
@@ -771,10 +734,7 @@ def edge_jaccard(edges, src: str = "src", dst: str = "dst",
                                 "du": pa.nulls(t.num_rows, pa.int64()),
                                 "dv": pa.nulls(t.num_rows, pa.int64()),
                                 "p": pc.cast(t["p"], pa.int64())})
-            b = key_buckets(out.select(["u", "v"]).to_pandas(),
-                            ["u", "v"], NUM_BUCKETS)
-            return out.append_column("bucket",
-                                     pa.array(b.values, pa.int32()))
+            return out
 
         return fn
 
@@ -795,8 +755,7 @@ def edge_jaccard(edges, src: str = "src", dst: str = "dst",
             "jaccard": ncom.to_numpy().astype(np.float64)
             / (du + dv - ncom).to_numpy().astype(np.float64)})
 
-    return both.groupby("bucket").map_groups(merge_bucket,
-                                             batch_format="pandas")
+    return exchange(both, merge_bucket, ["u", "v"], NUM_BUCKETS)
 
 
 RA_FP_SCALE = 1_000_000_000_000  # fixed-point: floor(SCALE / deg) per apex
@@ -895,14 +854,11 @@ def link_predict_ra(edges, src: str = "src", dst: str = "dst",
 
         adj_d = adj.map_batches(attach, batch_format="pyarrow")
 
-    def gate_bucket(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.and_(pc.greater_equal(t["d"], 2),
-                             pc.less_equal(t["d"], apex_cap)))
-        b = key_buckets(pd.DataFrame({"apex": t["apex"].to_pandas()}),
-                        ["apex"], NUM_BUCKETS)
-        return t.append_column("bucket", pa.array(b.values, pa.int32()))
+    def gate(t: pa.Table) -> pa.Table:
+        return t.filter(pc.and_(pc.greater_equal(t["d"], 2),
+                                pc.less_equal(t["d"], apex_cap)))
 
-    gated = adj_d.map_batches(gate_bucket, batch_format="pyarrow")
+    gated = adj_d.map_batches(gate, batch_format="pyarrow")
 
     def wedge_partials(g: pd.DataFrame) -> pd.DataFrame:
         """apex bucket → per-pair (x < y in id order) combiner partials
@@ -929,8 +885,7 @@ def link_predict_ra(edges, src: str = "src", dst: str = "dst",
         return df.groupby(["x", "y"], sort=False).agg(
             n=("s", "size"), s=("s", "sum")).reset_index()
 
-    partials = gated.groupby("bucket").map_groups(wedge_partials,
-                                                  batch_format="pandas")
+    partials = exchange(gated, wedge_partials, ["apex"], NUM_BUCKETS)
 
     def tag(kind: int):
         def fn(t: pa.Table) -> pa.Table:
@@ -942,10 +897,7 @@ def link_predict_ra(edges, src: str = "src", dst: str = "dst",
                 out = pa.table({"x": t["x"], "y": t["y"],
                                 "n": pc.cast(t["n"], pa.int64()),
                                 "s": pc.cast(t["s"], pa.int64())})
-            b = key_buckets(out.select(["x", "y"]).to_pandas(),
-                            ["x", "y"], NUM_BUCKETS)
-            return out.append_column("bucket",
-                                     pa.array(b.values, pa.int32()))
+            return out
 
         return fn
 
@@ -968,8 +920,8 @@ def link_predict_ra(edges, src: str = "src", dst: str = "dst",
     # the typed empty union pins the output schema even when EVERY pair
     # is already an edge (a near-complete graph yields zero candidates
     # and Ray drops all-empty pandas groups, losing the columns)
-    return both.groupby("bucket").map_groups(
-        merge_bucket, batch_format="pandas").union(rd.from_arrow(empty))
+    return exchange(both, merge_bucket, ["x", "y"], NUM_BUCKETS).union(
+        rd.from_arrow(empty))
 
 
 def degree_assortativity(edges, src: str = "src", dst: str = "dst",
@@ -1085,8 +1037,7 @@ def triangle_count(edges, src: str = "src", dst: str = "dst",
         return pd.DataFrame({"a": np.concatenate(xs),
                              "b": np.concatenate(ys)})
 
-    wedges = ranked.groupby("bucket").map_groups(wedges_bucket,
-                                                 batch_format="pandas")
+    wedges = exchange(ranked, wedges_bucket, ["a"], NUM_BUCKETS)
 
     # semi-join wedges against the oriented edge set, bucketed on (a, b)
     def tag(is_edge: int):
@@ -1098,9 +1049,7 @@ def triangle_count(edges, src: str = "src", dst: str = "dst",
             else:  # wedge partials: collapse duplicate wedges per batch
                 out = out.group_by(["a", "b"]).aggregate([("a", "count")])
                 out = out.rename_columns(["a", "b", "n"])
-            b = key_buckets(out.select(["a", "b"]).to_pandas(), ["a", "b"],
-                            NUM_BUCKETS)
-            return out.append_column("bucket", pa.array(b.values, pa.int32()))
+            return out
 
         return fn
 
@@ -1114,8 +1063,7 @@ def triangle_count(edges, src: str = "src", dst: str = "dst",
         hit = w.merge(edge_set, on=["a", "b"], how="inner")
         return pd.DataFrame({"t": [int(hit["n"].sum())]})
 
-    per_bucket = tagged.groupby("bucket").map_groups(count_bucket,
-                                                     batch_format="pandas")
+    per_bucket = exchange(tagged, count_bucket, ["a", "b"], NUM_BUCKETS)
     total = int(per_bucket.sum("t") or 0)
     return pa.table({"n_triangles": pa.array([total], pa.int64())})
 

@@ -14,6 +14,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .dedup_exact import exchange
+
 
 def _to_matrix(col: pa.ChunkedArray | pa.Array, dim: int = 0) -> np.ndarray:
     """list<float> column → (n, d) float64 matrix (float64 so cosine matches
@@ -121,7 +123,7 @@ class LSHBucketer:
     hyperplanes (seeded → deterministic across actors/runs)."""
 
     def __init__(self, dim: int, n_planes: int = 12, seed: int = 42,
-                 vec_col: str = "embedding", out: str = "lsh_bucket"):
+                 vec_col: str = "embedding", out: str = "bucket"):
         self.planes = hyperplanes(dim, n_planes, seed)
         self.vec_col, self.out = vec_col, out
 
@@ -171,9 +173,7 @@ def neardup_pairs_cosine(ds, dim: int, threshold: float = 0.95,
             }
         )
 
-    return bucketed.groupby("lsh_bucket").map_groups(
-        pairs_in_bucket, batch_format="pandas"
-    )
+    return exchange(bucketed, pairs_in_bucket)
 
 
 # --- IVF (inverted-file) approximate search -------------------------------

@@ -83,7 +83,7 @@ def _local_turns(transcripts, gate: dict) -> pa.Table | None:
     return pa.concat_tables(ray.get(transcripts.to_arrow_refs())).select(COLS)
 
 
-def _linker(mapping, link_shards, out_dir, *args) -> tuple:
+def _linker(mapping, link_shards, out_dir, *args, starved=False) -> tuple:
     """phases.linker over ``mapping`` (a Dataset or a pyarrow table),
     sharded past BROADCAST_MAX_ENTITIES unless ``link_shards`` is given:
     the sharded index is streamed to per-shard parquet and loaded by K
@@ -99,7 +99,8 @@ def _linker(mapping, link_shards, out_dir, *args) -> tuple:
 
         index_dir = (os.path.join(out_dir, "link_index") if out_dir else
                      tempfile.mkdtemp(prefix="vr_link_index_", dir="/tmp"))
-    return phases.linker(mapping, link_shards, index_dir, *args)
+    return phases.linker(mapping, link_shards, index_dir, *args,
+                         starved=starved)
 
 
 def _run_local(turns: pa.Table, out_dir, write: bool,
@@ -263,7 +264,8 @@ def run_kg(
     clock.lap("mapping")
 
     # --- triple branch -> linking -> edges -------------------------------
-    linker_cls, linker_kwargs, shard_actors = _linker(mapping, *link_args)
+    linker_cls, linker_kwargs, shard_actors = _linker(mapping, *link_args,
+                                                      starved=starved)
     # `linked` feeds BOTH the triples output and edge aggregation → pin it.
     linked = phases.link_ds(extracted, linker_cls, linker_kwargs, batch_size,
                             linker_concurrency, tasks=starved).materialize()

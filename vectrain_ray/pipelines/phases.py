@@ -107,16 +107,20 @@ def mapping(partials: pa.Table) -> pa.Table:
 
 
 def linker(mapping_t, link_shards: int, index_dir: str | None, dim: int,
-           fuzzy_threshold: float, ann: str, n_cells: int, n_probe):
+           fuzzy_threshold: float, ann: str, n_cells: int, n_probe,
+           starved: bool = False):
     """(linker class, its kwargs, shard actors to kill after linking). A
     broadcast index over ``mapping_t``, a pyarrow table or a Dataset; with
     ``link_shards``, shard actors over the index in ``index_dir``, first
-    written there from ``mapping_t`` unless it is None."""
+    written there from ``mapping_t`` unless it is None. ``starved`` shard
+    actors reserve no CPU: on a 1-CPU cluster K shards of 0.1 CPU would
+    leave no whole slot for the link tasks that call them."""
     if link_shards:
         if mapping_t is not None:
             write_link_index(rd.from_arrow(mapping_t) if isinstance(
                 mapping_t, pa.Table) else mapping_t, index_dir, link_shards)
         actors = make_link_shard_actors(index_dir, link_shards, dim=dim,
+                                        num_cpus=0 if starved else 0.1,
                                         ann=ann, n_cells=n_cells,
                                         n_probe=n_probe)
         return ShardedEntityLinker, {
@@ -209,15 +213,15 @@ def mentions_ds(ext, batch_size: int, pool: int, tasks: bool,
 
 def link_ds(ext, linker_cls, linker_kwargs: dict, batch_size: int,
             pool: int, tasks: bool, num_parts: int | None = None):
-    """Linked triples: plain ``link_batch_task`` tasks when ``tasks`` and
-    the index is broadcast, else a pool of ``pool`` ``linker_cls`` actors.
-    No task retries on the pool: its constructor takes an object-store ref,
-    and max_task_retries forces max_restarts>0, which deadlocks actor
-    (re)starts whose ctor args live in the object store (ray#53727,
-    reproduced here)."""
-    if tasks and linker_cls is EntityLinker:
-        # link_batch_task caches one EntityLinker per worker process
-        link = {"fn": link_batch_task, "fn_kwargs": linker_kwargs}
+    """Linked triples: plain ``link_batch_task`` tasks when ``tasks``,
+    else a pool of ``pool`` ``linker_cls`` actors. No task retries on the
+    pool: its constructor takes an object-store ref, and max_task_retries
+    forces max_restarts>0, which deadlocks actor (re)starts whose ctor args
+    live in the object store (ray#53727, reproduced here)."""
+    if tasks:
+        # link_batch_task caches one linker per worker process
+        link = {"fn": link_batch_task,
+                "fn_kwargs": {"linker_cls": linker_cls, **linker_kwargs}}
     else:
         link = {"fn": linker_cls, "fn_constructor_kwargs": linker_kwargs,
                 "concurrency": pool}

@@ -6,6 +6,11 @@ before every groupby) and has — where SQL-expressible — an exactly-matching
 DuckDB oracle in ORACLE_SQL (same column NAMES and values; floats rounded
 identically on both sides).
 
+High-cardinality keys never reach ``groupby(key).map_groups`` (one Python
+call per key): the entries bucket-then-vectorize through
+``functions.dedup_exact.exchange`` — a per-batch combiner, the key hashed
+into coarse buckets, then one vectorized finisher call per bucket.
+
 Reference parity notes: q_filter_project/T2 mirrors the empty-text admission
 rule (http/client.go:90-97); q_id_backfill/T3 the ID:=UUID backfill
 (kafka/fetch_messages.go:71-73); q_typed_projection/T4 the typed payload
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import logging
 import os
 
 import numpy as np
@@ -31,12 +37,15 @@ from ray.data.aggregate import Max, Min, Sum
 
 from ..functions import textops
 from ..functions.dedup import dedup_minhash, simhash_candidate_pairs
-from ..functions.dedup_exact import dedup_exact, key_buckets
+from ..functions.dedup_exact import dedup_exact, exchange, key_buckets
 from ..functions.similarity import neardup_pairs_cosine, topk_cosine
+from ..logs import log_event
 from ..stages.extract import extract_batch, filter_nonempty_text, triples_table
 from ..synth import transcripts_from_documents
 from .kg import run_kg
 from .tpch_kg import tpch_transcripts
+
+_LOG = logging.getLogger("vectrain_ray.queries")
 
 
 def _read(sf_dir: str, table: str, columns=None):
@@ -106,20 +115,6 @@ def _broadcast_keyset_filter(ds, col: str, keys: pa.Array, keep: bool,
 
     return probe.map_batches(KeySetFilter, batch_format="pyarrow",
                              concurrency=(1, 2))
-
-
-def _bucketed(ds, keys: list[str], n: int = 64):
-    """Append the process-stable shuffle ``bucket`` column for ``keys`` —
-    the front half of the repo's bucket-then-vectorize pattern (one
-    map_groups call per bucket, never per key)."""
-    from ..functions.dedup_exact import key_buckets
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df["bucket"] = key_buckets(df, keys, n)
-        return df
-
-    return ds.map_batches(add_bucket, batch_format="pandas",
-                          batch_size=65536)
 
 
 def _round_half_away(arr, nd: int) -> pa.Array:
@@ -432,11 +427,7 @@ def q_sessionize(sf_dir: str):
         )
         return out.rename(columns={"brk": "n_sessions"})
 
-    return (
-        _bucketed(ds, ["user_id"])
-        .groupby("bucket")
-        .map_groups(sessions_bucket, batch_format="pandas")
-    )
+    return exchange(ds, sessions_bucket, ["user_id"])
 
 
 def q_window_tumbling(sf_dir: str):
@@ -471,11 +462,8 @@ def q_window_tumbling(sf_dir: str):
 
     # bucketed final merge: one Python call per bucket, vectorized within —
     # ~5× faster than the row-level sort-based aggregate at ~100k keys
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-        .groupby("bucket")
-        .map_groups(merge_bucket, batch_format="pandas")
-    )
+    return exchange(ds.map_batches(partial, batch_format="pyarrow",
+                                   batch_size=65536), merge_bucket)
 
 
 def q_running_total(sf_dir: str):
@@ -499,11 +487,7 @@ def q_running_total(sf_dir: str):
         )
         return out
 
-    return (
-        _bucketed(ds, ["user_id"])
-        .groupby("bucket")
-        .map_groups(running_bucket, batch_format="pandas")
-    )
+    return exchange(ds, running_bucket, ["user_id"])
 
 
 _SLIDE_W = 3600  # window width (sec)
@@ -543,11 +527,8 @@ def q_window_sliding(sf_dir: str):
         out["n_events"] = out["n_events"].astype("int64")
         return out
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-        .groupby("bucket")
-        .map_groups(merge_bucket, batch_format="pandas")
-    )
+    return exchange(ds.map_batches(partial, batch_format="pyarrow",
+                                   batch_size=65536), merge_bucket)
 
 
 def q_heavy_hitters(sf_dir: str):
@@ -698,8 +679,7 @@ def q_asof_join_bucketed(sf_dir: str, num_buckets: int = 64):
             "o_orderkey": m["o_orderkey"].astype("int64"),
         })
 
-    return unioned.groupby("bucket").map_groups(merge_bucket,
-                                                batch_format="pandas")
+    return exchange(unioned, merge_bucket)
 
 
 def q_anti_join(sf_dir: str):
@@ -816,7 +796,23 @@ def _cache_key(sf_dir: str) -> tuple:
     return (fp, job)
 
 
-_TOKENIZED_DOCS_CACHE: dict[str, tuple] = {}
+_SESSION_MEMO: dict[tuple[str, str], tuple] = {}
+
+
+def _session_memo(name: str, sf_dir: str, build):
+    """Session-scoped driver memo: ``build()``'s value for (name, sf_dir),
+    reused while ``_cache_key(sf_dir)`` holds, so the ops of one session
+    share one materialized intermediate (blocks in the spillable object
+    store, never the driver heap). Each hit and miss is a structured
+    ``memo`` event."""
+    key = _cache_key(sf_dir)
+    hit = _SESSION_MEMO.get((name, sf_dir))
+    ok = hit is not None and hit[0] == key
+    log_event(_LOG, f"memo {name} {'hit' if ok else 'miss'}", memo=name,
+              sf_dir=sf_dir, hit=ok)
+    if not ok:
+        hit = _SESSION_MEMO[(name, sf_dir)] = (key, build())
+    return hit[1]
 
 # ONE ChunkedArray-combining helper for the whole package (it also has the
 # single-chunk fast path); a second copy here would drift
@@ -839,35 +835,26 @@ def _tokenized_docs(sf_dir: str):
     row — shared by wordcount / tfidf / pmi / bm25 / chunk /
     pack_sequences / dup_ngram_spans, so a session running several token
     ops tokenizes the corpus ONCE instead of once per op. Blocks live in
-    the spillable object store (MaterializedDataset); invalidated like the
-    sibling corpus caches by input fingerprint + Ray job id."""
-    key = _cache_key(sf_dir)
-    hit = _TOKENIZED_DOCS_CACHE.get(sf_dir)
-    if hit is None or hit[0] != key:
-        ds = _read(sf_dir, "documents", ["doc_id", "text"])
+    the spillable object store (_session_memo)."""
 
-        def tok(t: pa.Table) -> pa.Table:
-            _, words, keep, parents = _doc_tokens(t)
-            keepn = keep.to_numpy(zero_copy_only=False)
-            par = parents.to_numpy(zero_copy_only=False)
-            n = t.num_rows
-            counts = np.bincount(par[keepn], minlength=n) if len(par) else \
-                np.zeros(n, np.int64)
-            offsets = np.zeros(n + 1, np.int64)
-            np.cumsum(counts, out=offsets[1:])
-            # int64 offsets (LargeList): no int32 token ceiling per batch
-            lst = pa.LargeListArray.from_arrays(
-                pa.array(offsets, pa.int64()),
-                _as_array(words.filter(pa.array(keepn))))
-            return pa.table({"doc_id": t["doc_id"], "toks": lst})
+    def tok(t: pa.Table) -> pa.Table:
+        _, words, keep, parents = _doc_tokens(t)
+        keepn = keep.to_numpy(zero_copy_only=False)
+        par = parents.to_numpy(zero_copy_only=False)
+        n = t.num_rows
+        counts = np.bincount(par[keepn], minlength=n) if len(par) else \
+            np.zeros(n, np.int64)
+        offsets = np.zeros(n + 1, np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        # int64 offsets (LargeList): no int32 token ceiling per batch
+        lst = pa.LargeListArray.from_arrays(
+            pa.array(offsets, pa.int64()),
+            _as_array(words.filter(pa.array(keepn))))
+        return pa.table({"doc_id": t["doc_id"], "toks": lst})
 
-        _TOKENIZED_DOCS_CACHE[sf_dir] = (
-            key, ds.map_batches(tok, batch_format="pyarrow",
-                                batch_size=65536).materialize())
-    return _TOKENIZED_DOCS_CACHE[sf_dir][1]
-
-
-_UNIGRAM_COUNTS_CACHE: dict[str, tuple] = {}
+    return _session_memo("tokenized_docs", sf_dir, lambda: _read(
+        sf_dir, "documents", ["doc_id", "text"]).map_batches(
+        tok, batch_format="pyarrow", batch_size=65536).materialize())
 
 
 def _unigram_counts(sf_dir: str):
@@ -876,47 +863,33 @@ def _unigram_counts(sf_dir: str):
     vocab_coverage / pmi_bigrams / lm_bigram_score / bpe_merge_pairs, so
     a session running several vocab-consuming ops reduces the corpus to
     its vocabulary ONCE instead of once per op. Vocabulary-sized blocks
-    in the spillable object store; invalidated like _tokenized_docs by
-    input fingerprint + Ray job id."""
-    key = _cache_key(sf_dir)
-    hit = _UNIGRAM_COUNTS_CACHE.get(sf_dir)
-    if hit is None or hit[0] != key:
-        ds = _tokenized_docs(sf_dir)
+    in the spillable object store (_session_memo)."""
 
-        def partial(t: pa.Table) -> pa.Table:
-            words, _ = _doc_tokens_from_lists(t)
-            g = pa.table({"word": words}).group_by("word").aggregate(
-                [("word", "count")])
-            return g.rename_columns(["word", "p_cnt"])
+    def partial(t: pa.Table) -> pa.Table:
+        words, _ = _doc_tokens_from_lists(t)
+        g = pa.table({"word": words}).group_by("word").aggregate(
+            [("word", "count")])
+        return g.rename_columns(["word", "p_cnt"])
 
-        _UNIGRAM_COUNTS_CACHE[sf_dir] = (
-            key,
-            ds.map_batches(partial, batch_format="pyarrow",
-                           batch_size=65536)
-            .groupby("word").aggregate(Sum("p_cnt", alias_name="cnt"))
-            .materialize())
-    return _UNIGRAM_COUNTS_CACHE[sf_dir][1]
-
-
-_MINHASH_CLUSTERS_CACHE: dict[str, tuple] = {}
+    return _session_memo("unigram_counts", sf_dir, lambda: (
+        _tokenized_docs(sf_dir)
+        .map_batches(partial, batch_format="pyarrow", batch_size=65536)
+        .groupby("word").aggregate(Sum("p_cnt", alias_name="cnt"))
+        .materialize()))
 
 
 def _minhash_clusters(sf_dir: str):
     """Session-scoped clustering artifact shared by dedup_minhash and
-    dedup_keep_best (the _KG_CACHE pattern): one process computes the
-    MinHash clustering once; blocks live in the spillable object store
-    (MaterializedDataset), never the driver heap. Invalidated by input
-    fingerprint + Ray job id (_cache_key)."""
-    key = _cache_key(sf_dir)
-    hit = _MINHASH_CLUSTERS_CACHE.get(sf_dir)
-    if hit is None or hit[0] != key:
-        ds = _read(sf_dir, "documents", ["doc_id", "text"])
+    dedup_keep_best (_session_memo): one process computes the MinHash
+    clustering once."""
+
+    def build():
         n_docs = pq.read_metadata(
             os.path.join(sf_dir, "documents.parquet")).num_rows
-        _MINHASH_CLUSTERS_CACHE[sf_dir] = (
-            key, dedup_minhash(ds, threshold=0.8,
-                               approx_rows=n_docs).materialize())
-    return _MINHASH_CLUSTERS_CACHE[sf_dir][1]
+        return dedup_minhash(_read(sf_dir, "documents", ["doc_id", "text"]),
+                             threshold=0.8, approx_rows=n_docs).materialize()
+
+    return _session_memo("minhash_clusters", sf_dir, build)
 
 
 def q_dedup_minhash(sf_dir: str):
@@ -1166,8 +1139,7 @@ def q_cluster_purity(sf_dir: str):
 
     # ONE cluster-bucketed exchange over domain-bounded partials — never a
     # native aggregate fan-out (see dup_ngram_fraction's 47 s lesson)
-    return (_bucketed(partials, ["cluster"], 4)
-            .groupby("bucket").map_groups(finish, batch_format="pandas"))
+    return exchange(partials, finish, ["cluster"], 4)
 
 
 def q_ann_index_topk(sf_dir: str):
@@ -1346,9 +1318,8 @@ def q_turn_overlap(sf_dir: str):
             "jaccard": ncm.astype(np.float64) / union.astype(np.float64),
         })
 
-    return (ts.map_batches(add_bucket, batch_format="pyarrow")
-            .groupby("bucket")
-            .map_groups(overlap, batch_format="pandas"))
+    return exchange(ts.map_batches(add_bucket, batch_format="pyarrow"),
+                    overlap)
 
 
 def q_kg_triples(sf_dir: str):
@@ -1374,14 +1345,7 @@ def _cosupply_edges(sf_dir: str):
     self-join's cross-product semantics exactly — a per-order-bucket
     vectorized pandas merge (orders are co-located by the bucket groupby;
     one Python call per BUCKET, never per order)."""
-    from ..functions.dedup_exact import key_buckets
-
     ds = _read(sf_dir, "lineitem", ["l_orderkey", "l_linenumber", "l_suppkey"])
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["bucket"] = key_buckets(df, ["l_orderkey"], 64)
-        return df
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         a = g[["l_orderkey", "l_linenumber", "l_suppkey"]].copy()
@@ -1393,8 +1357,7 @@ def _cosupply_edges(sf_dir: str):
                             "v": m["l_suppkey_v"].astype("int64")})
         return out.drop_duplicates()
 
-    return ds.map_batches(add_bucket, batch_format="pandas").groupby(
-        "bucket").map_groups(pairs, batch_format="pandas")
+    return exchange(ds, pairs, ["l_orderkey"])
 
 
 def _kg_star_edges(sf_dir: str):
@@ -1557,22 +1520,17 @@ def q_khop(sf_dir: str):
     return khop_hops(_cosupply_edges(sf_dir), [1], 3, "u", "v")
 
 
-_KG_CACHE: dict[str, dict] = {}
-
-
 def _run_tpch_kg(sf_dir: str) -> dict:
     """kg_edges and kg_nodes share one pipeline run per sf_dir (results are
     small → materialize once instead of re-running the whole DAG)."""
-    key = _cache_key(sf_dir)
-    hit = _KG_CACHE.get(sf_dir)
-    if hit is None or hit.get("_key") != key:
-        res = run_kg(tpch_transcripts(sf_dir), out_dir=None, write_outputs=False)
-        _KG_CACHE[sf_dir] = {
-            "_key": key,  # input fingerprint + Ray job id (see _cache_key)
-            "edges": res["edges"].materialize(),
-            "nodes": res["nodes"].materialize(),
-        }
-    return _KG_CACHE[sf_dir]
+
+    def build():
+        res = run_kg(tpch_transcripts(sf_dir), out_dir=None,
+                     write_outputs=False)
+        return {"edges": res["edges"].materialize(),
+                "nodes": res["nodes"].materialize()}
+
+    return _session_memo("tpch_kg", sf_dir, build)
 
 
 def name_edges(edges, nodes, broadcast_max: int | None = None):
@@ -1842,9 +1800,8 @@ def q_length_quantiles(sf_dir: str):
             {"n_docs": "int64", "p50": "int64", "p90": "int64",
              "p99": "int64"})
 
-    return ds.map_batches(partial, batch_format="pyarrow",
-                          batch_size=65536).groupby("bucket").map_groups(
-        finish, batch_format="pandas")
+    return exchange(ds.map_batches(partial, batch_format="pyarrow",
+                                   batch_size=65536), finish)
 
 
 LM_FP_SCALE = 1_000_000_000  # fixed-point: floor(SCALE·p) per bigram
@@ -1894,10 +1851,9 @@ def q_lm_bigram_score(sf_dir: str, _force_join: bool = False):
         c["c12"] = c["c12"].astype("int64")
         return c
 
-    bigrams = (_bucketed(
+    bigrams = exchange(
         ds.map_batches(bigram_partial, batch_format="pyarrow",
-                       batch_size=65536), ["w1", "w2"])
-        .groupby("bucket").map_groups(sum_bucket, batch_format="pandas")
+                       batch_size=65536), sum_bucket, ["w1", "w2"]
     ).materialize()
 
     unigrams = _unigram_counts(sf_dir).map_batches(
@@ -2511,11 +2467,9 @@ def q_ngram_jaccard(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(explode, batch_format="pandas", batch_size=65536)
-        .groupby("bucket")
-        .map_groups(bucket_fn, batch_format="pandas")
-    )
+    return exchange(
+        ds.map_batches(explode, batch_format="pandas", batch_size=65536),
+        bucket_fn)
 
 
 def q_ngram_containment(sf_dir: str):
@@ -2552,11 +2506,9 @@ def q_ngram_containment(sf_dir: str):
             out[c] = out[c].astype("int64")
         return out
 
-    return (
-        ds.map_batches(explode, batch_format="pandas", batch_size=65536)
-        .groupby("bucket")
-        .map_groups(bucket_fn, batch_format="pandas")
-    )
+    return exchange(
+        ds.map_batches(explode, batch_format="pandas", batch_size=65536),
+        bucket_fn)
 
 
 def q_regex_extract(sf_dir: str):
@@ -2648,11 +2600,9 @@ def q_mode_per_group(sf_dir: str):
         out["cnt"] = out["cnt"].astype("int64")
         return out[["user_id", "event_type", "cnt"]]
 
-    return (
-        ds.map_batches(partial, batch_format="pandas", batch_size=65536)
-        .groupby("bucket")
-        .map_groups(argmax_bucket, batch_format="pandas")
-    )
+    return exchange(
+        ds.map_batches(partial, batch_format="pandas", batch_size=65536),
+        argmax_bucket)
 
 
 def q_stratified_sample(sf_dir: str):
@@ -2695,11 +2645,7 @@ def q_dense_rank(sf_dir: str):
         )
         return g[["event_id", "user_id", "rnk"]]
 
-    return (
-        _bucketed(ds, ["user_id"])
-        .groupby("bucket")
-        .map_groups(rank_bucket, batch_format="pandas")
-    )
+    return exchange(ds, rank_bucket, ["user_id"])
 
 
 def q_lag_delta(sf_dir: str):
@@ -2728,11 +2674,7 @@ def q_lag_delta(sf_dir: str):
             }
         )
 
-    return (
-        _bucketed(ds, ["user_id"])
-        .groupby("bucket")
-        .map_groups(gaps_bucket, batch_format="pandas")
-    )
+    return exchange(ds, gaps_bucket, ["user_id"])
 
 
 def q_cooccurrence(sf_dir: str):
@@ -2748,7 +2690,6 @@ def q_cooccurrence(sf_dir: str):
     sf0.01 — Ray's multi-key aggregate pays per-group Python cost, so
     high-cardinality aggregation MUST go through bucketed map_groups."""
     ds = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
-    from ..functions.dedup_exact import key_buckets
 
     def pairs_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g[["l_orderkey", "l_partkey"]]
@@ -2758,11 +2699,9 @@ def q_cooccurrence(sf_dir: str):
             m.groupby(["l_partkey_a", "l_partkey_b"], sort=False)
             .size().reset_index(name="p_cnt")
         )
-        out = out.rename(
+        return out.rename(
             columns={"l_partkey_a": "part_a", "l_partkey_b": "part_b"}
         )
-        out["bucket"] = key_buckets(out, ["part_a", "part_b"], 64)
-        return out
 
     def top_bucket(g: pd.DataFrame) -> pd.DataFrame:
         c = (
@@ -2774,13 +2713,8 @@ def q_cooccurrence(sf_dir: str):
                           ascending=[False, True, True], kind="stable")
         return c.head(100)
 
-    counts = (
-        _bucketed(ds, ["l_orderkey"])
-        .groupby("bucket")
-        .map_groups(pairs_bucket, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(top_bucket, batch_format="pandas")
-    )
+    counts = exchange(exchange(ds, pairs_bucket, ["l_orderkey"]),
+                      top_bucket, ["part_a", "part_b"])
     return counts.sort(["cnt", "part_a", "part_b"],
                        descending=[True, False, False]).limit(100)
 
@@ -2808,9 +2742,7 @@ def q_funnel_counts(sf_dir: str):
                              "p_cnt": [len(v), len(c), len(p)]})
 
     agg = (
-        _bucketed(ds, ["user_id"])
-        .groupby("bucket")
-        .map_groups(funnel_bucket, batch_format="pandas")
+        exchange(ds, funnel_bucket, ["user_id"])
         .groupby("stage")
         .aggregate(Sum("p_cnt", alias_name="n_users"))
     )
@@ -2878,11 +2810,8 @@ def q_inverted_index(sf_dir: str):
             }
         )
 
-    return (
-        pair_ds.map_batches(partial, batch_format="pandas", batch_size=262144)
-        .groupby("bucket")
-        .map_groups(final_bucket, batch_format="pandas")
-    )
+    return exchange(pair_ds.map_batches(partial, batch_format="pandas",
+                                        batch_size=262144), final_bucket)
 
 
 def q_cube_agg(sf_dir: str):
@@ -3012,11 +2941,7 @@ def q_ntile(sf_dir: str):
         out["tile"] = ntile_assign(i, n, 4)
         return out
 
-    return (
-        _bucketed(ds, ["user_id"])
-        .groupby("bucket")
-        .map_groups(ntile_bucket, batch_format="pandas")
-    )
+    return exchange(ds, ntile_bucket, ["user_id"])
 
 
 def q_first_last(sf_dir: str):
@@ -3048,14 +2973,9 @@ def q_first_last(sf_dir: str):
             }
         )
 
-    return (
-        _bucketed(
-            ds.map_batches(partial, batch_format="pandas", batch_size=65536),
-            ["user_id"],
-        )
-        .groupby("bucket")
-        .map_groups(final_bucket, batch_format="pandas")
-    )
+    return exchange(
+        ds.map_batches(partial, batch_format="pandas", batch_size=65536),
+        final_bucket, ["user_id"])
 
 
 _KMV_K = 256
@@ -3134,9 +3054,7 @@ def q_retention(sf_dir: str):
         return out
 
     return (
-        _bucketed(ds, ["user_id"])
-        .groupby("bucket")
-        .map_groups(cohort_bucket, batch_format="pandas")
+        exchange(ds, cohort_bucket, ["user_id"])
         .repartition(1)
         .map_batches(final, batch_format="pandas", batch_size=None)
     )
@@ -3158,11 +3076,7 @@ def q_percent_rank(sf_dir: str):
             grp["user_id"].transform("size") - 1).astype("int64")
         return out
 
-    return (
-        _bucketed(ds, ["user_id"])
-        .groupby("bucket")
-        .map_groups(pr_bucket, batch_format="pandas")
-    )
+    return exchange(ds, pr_bucket, ["user_id"])
 
 
 def q_pair_similarity(sf_dir: str):
@@ -3209,13 +3123,9 @@ def q_pair_similarity(sf_dir: str):
         return out
 
     return (
-        _bucketed(
-            ds.map_batches(partial, batch_format="pyarrow",
-                           batch_size=65536),
-            ["user_id"],
-        )
-        .groupby("bucket")
-        .map_groups(sets_bucket, batch_format="pandas")
+        exchange(ds.map_batches(partial, batch_format="pyarrow",
+                                batch_size=65536),
+                 sets_bucket, ["user_id"])
         .repartition(1)
         .map_batches(pairs, batch_format="pandas", batch_size=None)
     )
@@ -3326,11 +3236,7 @@ def q_rolling_count(sf_dir: str):
         return pd.DataFrame({"event_id": g["event_id"].values,
                              "cnt_1h": cnt})
 
-    return (
-        _bucketed(ds, ["user_id"])
-        .groupby("bucket")
-        .map_groups(roll_bucket, batch_format="pandas")
-    )
+    return exchange(ds, roll_bucket, ["user_id"])
 
 
 def q_daily_series(sf_dir: str):
@@ -3394,11 +3300,7 @@ def q_time_to_convert(sf_dir: str):
             }
         )
 
-    return (
-        _bucketed(ds, ["user_id"])
-        .groupby("bucket")
-        .map_groups(ttc_bucket, batch_format="pandas")
-    )
+    return exchange(ds, ttc_bucket, ["user_id"])
 
 
 def _lev_le1(a: str, b: str) -> bool:
@@ -3451,12 +3353,9 @@ def q_fuzzy_join(sf_dir: str):
         return m[["s_l", "s_r"]].drop_duplicates().rename(
             columns={"s_l": "a", "s_r": "b"})
 
-    cands = (
-        _bucketed(ds.map_batches(variants, batch_format="pyarrow",
-                                 batch_size=65536), ["v"])
-        .groupby("bucket")
-        .map_groups(pairs_in_bucket, batch_format="pandas")
-    )
+    cands = exchange(
+        ds.map_batches(variants, batch_format="pyarrow", batch_size=65536),
+        pairs_in_bucket, ["v"])
     cands = dedup_exact(cands, ["a", "b"])  # a pair can share many variants
 
     def verify(t: pa.Table) -> pa.Table:
@@ -3521,12 +3420,9 @@ def q_mixture_sample(sf_dir: str):
         out = g[cum <= budget]
         return out[["source", "doc_id", "n_tokens"]]
 
-    return (
-        _bucketed(ds.map_batches(partial, batch_format="pyarrow",
-                                 batch_size=65536), ["source"])
-        .groupby("bucket")
-        .map_groups(pick, batch_format="pandas")
-    )
+    return exchange(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        pick, ["source"])
 
 
 def q_event_throttle(sf_dir: str):
@@ -3545,9 +3441,7 @@ def q_event_throttle(sf_dir: str):
         return g.loc[keep, ["event_id", "user_id", "event_type"]]
 
     return (
-        _bucketed(ds, ["user_id", "event_type"])
-        .groupby("bucket")
-        .map_groups(keep_bucket, batch_format="pandas")
+        exchange(ds, keep_bucket, ["user_id", "event_type"])
         .select_columns(["event_id", "user_id", "event_type"])
     )
 
@@ -3581,13 +3475,9 @@ def q_bigram_top(sf_dir: str):
         return c.head(20)
 
     return (
-        _bucketed(
-            ds.map_batches(partial, batch_format="pyarrow",
-                           batch_size=65536),
-            ["bigram"],
-        )
-        .groupby("bucket")
-        .map_groups(top_bucket, batch_format="pandas")
+        exchange(ds.map_batches(partial, batch_format="pyarrow",
+                                batch_size=65536),
+                 top_bucket, ["bigram"])
         .sort(["cnt", "bigram"], descending=[True, False])
         .limit(20)
     )
@@ -3672,8 +3562,7 @@ def q_decontaminate(sf_dir: str):
         m["n_hits"] = m["n_hits"].astype("int64")
         return m
 
-    return _bucketed(parts, ["doc_id"]).groupby("bucket").map_groups(
-        merge, batch_format="pandas")
+    return exchange(parts, merge, ["doc_id"])
 
 
 def q_decontaminate_fuzzy(sf_dir: str):
@@ -3740,9 +3629,6 @@ def _fuzzy_bench_mask(t: pa.Table) -> pa.Array:
     return pa.array(ids % 31 == 0)
 
 
-_FUZZY_BENCH_CACHE: dict[str, tuple] = {}
-
-
 def _fuzzy_bench_index(ds, sf_dir: str | None = None):
     """Broadcast-ready bench-side LSH index: ObjectRef of (band rows
     DataFrame(band_id, band_hash, bench_id), {bench_id: sorted uint64
@@ -3752,17 +3638,11 @@ def _fuzzy_bench_index(ds, sf_dir: str | None = None):
     via a LOCAL bander, not band_batch: the cached wrapper would park a
     DuckDB connection in the driver's _STAGE_CACHE, poisoning any later
     nested transform that cloudpickles that global by value. Pass sf_dir
-    to memoize per input fingerprint + Ray job (the _KG_CACHE pattern) —
-    decontaminate_fuzzy and corpus_prep then share ONE bench scan per
-    session instead of one each."""
+    to memoize it (_session_memo) — decontaminate_fuzzy and corpus_prep
+    then share ONE bench scan per session instead of one each."""
     if sf_dir is not None:
-        key = _cache_key(sf_dir)
-        hit = _FUZZY_BENCH_CACHE.get(sf_dir)
-        if hit is not None and hit[0] == key:
-            return hit[1]
-        ref = _fuzzy_bench_index(ds)
-        _FUZZY_BENCH_CACHE[sf_dir] = (key, ref)
-        return ref
+        return _session_memo("fuzzy_bench", sf_dir,
+                             lambda: _fuzzy_bench_index(ds))
 
     from ..functions.dedup import _SH_TYPE, MinHashBander, sketch_batch
 
@@ -3953,11 +3833,7 @@ def q_intersect_all(sf_dir: str):
         return pd.DataFrame({"k": mult.index,
                              "multiplicity": mult.astype("int64").values})
 
-    return (
-        _bucketed(both, ["k"])
-        .groupby("bucket")
-        .map_groups(min_bucket, batch_format="pandas")
-    )
+    return exchange(both, min_bucket, ["k"])
 
 
 def q_dup_rate(sf_dir: str):
@@ -3988,12 +3864,9 @@ def q_dup_rate(sf_dir: str):
         return out
 
     return (
-        _bucketed(
-            ds.map_batches(fp, batch_format="pandas", batch_size=65536),
-            ["fp"],
-        )
-        .groupby("bucket")
-        .map_groups(dup_bucket, batch_format="pandas")
+        exchange(ds.map_batches(fp, batch_format="pandas",
+                                batch_size=65536),
+                 dup_bucket, ["fp"])
         .groupby("source")
         .aggregate(Sum("p_docs", alias_name="n_docs"),
                    Sum("p_dups", alias_name="n_dup_docs"))
@@ -4031,11 +3904,7 @@ def q_session_stats(sf_dir: str):
             }
         )
 
-    return (
-        _bucketed(ds, ["user_id"])
-        .groupby("bucket")
-        .map_groups(stats_bucket, batch_format="pandas")
-    )
+    return exchange(ds, stats_bucket, ["user_id"])
 
 
 def q_except_all(sf_dir: str):
@@ -4053,11 +3922,7 @@ def q_except_all(sf_dir: str):
         return pd.DataFrame({"k": m.index,
                              "multiplicity": m.astype("int64").values})
 
-    return (
-        _bucketed(both, ["k"])
-        .groupby("bucket")
-        .map_groups(diff_bucket, batch_format="pandas")
-    )
+    return exchange(both, diff_bucket, ["k"])
 
 
 def q_latest_per_key(sf_dir: str):
@@ -4079,14 +3944,9 @@ def q_latest_per_key(sf_dir: str):
             ascending=False) == 0]
         return out[["user_id", "event_id", "event_type"]]
 
-    return (
-        _bucketed(
-            ds.map_batches(partial, batch_format="pandas", batch_size=65536),
-            ["user_id"],
-        )
-        .groupby("bucket")
-        .map_groups(latest_bucket, batch_format="pandas")
-    )
+    return exchange(
+        ds.map_batches(partial, batch_format="pandas", batch_size=65536),
+        latest_bucket, ["user_id"])
 
 
 def q_union(sf_dir: str):
@@ -4121,15 +3981,9 @@ def q_group_concat(sf_dir: str):
         )
         return out
 
-    return (
-        _bucketed(
-            ds.map_batches(partial, batch_format="pyarrow",
-                           batch_size=65536),
-            ["user_id"],
-        )
-        .groupby("bucket")
-        .map_groups(concat_bucket, batch_format="pandas")
-    )
+    return exchange(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        concat_bucket, ["user_id"])
 
 
 def q_validate(sf_dir: str):
@@ -4364,10 +4218,9 @@ def q_pmi_bigrams(sf_dir: str):
         c["cnt"] = c["cnt"].astype("int64")
         return c
 
-    bigrams = (_bucketed(
+    bigrams = exchange(
         ds.map_batches(bigram_partial, batch_format="pyarrow",
-                       batch_size=65536), ["w1", "w2"])
-        .groupby("bucket").map_groups(sum_bucket, batch_format="pandas")
+                       batch_size=65536), sum_bucket, ["w1", "w2"]
     ).materialize()  # consumed twice: P total + candidate filter
 
     unigrams = _unigram_counts(sf_dir).map_batches(
@@ -4424,8 +4277,6 @@ def q_tfidf_top_terms(sf_dir: str):
     the oracle (numpy's SIMD log can differ by 1 ulp; don't use it)."""
     import math
 
-    from ..functions.dedup_exact import key_buckets
-
     ds = _tokenized_docs(sf_dir)  # shared tokenize-once intermediate
 
     def pairs(t: pa.Table) -> pa.Table:
@@ -4451,27 +4302,14 @@ def q_tfidf_top_terms(sf_dir: str):
             [logs[int(d)] for d in df_vals])
         return out.drop(columns=["tf"])
 
-    def add_wbucket(t: pa.Table) -> pa.Table:
-        b = key_buckets(t.to_pandas(), ["word"], 64)
-        return t.append_column("b", pa.array(b, pa.int32()))
-
-    scored = (pair_ds.map_batches(add_wbucket, batch_format="pyarrow")
-              .groupby("b")
-              .map_groups(score_bucket, batch_format="pandas"))
+    scored = exchange(pair_ds, score_bucket, ["word"])
 
     def top3(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["doc_id", "tfidf", "word"],
                           ascending=[True, False, True], kind="stable")
         return g[g.groupby("doc_id", sort=False).cumcount() < 3]
 
-    def add_dbucket(t: pa.Table) -> pa.Table:
-        b = key_buckets(t.to_pandas(), ["doc_id"], 64)
-        return t.append_column("b2", pa.array(b, pa.int32()))
-
-    return (scored.map_batches(add_dbucket, batch_format="pyarrow")
-            .groupby("b2")
-            .map_groups(top3, batch_format="pandas")
-            .drop_columns(["b2"]))
+    return exchange(scored, top3, ["doc_id"]).drop_columns(["bucket"])
 
 
 def q_dedup_keep_best(sf_dir: str):
@@ -4483,8 +4321,6 @@ def q_dedup_keep_best(sf_dir: str):
     Scale path: reuses the fully distributed dedup_minhash clustering,
     joins the narrow (doc_id, n_chars) quality side with a native hash
     join, and picks winners inside ONE cluster-bucketed exchange."""
-    from ..functions.dedup_exact import key_buckets
-
     clustered = _minhash_clusters(sf_dir)  # doc_id, cluster_id, ...
     meta = _read(sf_dir, "documents", ["doc_id", "n_chars"])
     joined = clustered.select_columns(["doc_id", "cluster_id"]).join(
@@ -4494,18 +4330,13 @@ def q_dedup_keep_best(sf_dir: str):
         on=("doc_id",), right_on=("m_doc_id",),
     )  # the native join drops the right-side key column
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        b = key_buckets(t.to_pandas(), ["cluster_id"], 64)
-        return t.append_column("b", pa.array(b, pa.int32()))
-
     def best(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["cluster_id", "n_chars", "doc_id"],
                           ascending=[True, False, True], kind="stable")
         w = g[g.groupby("cluster_id", sort=False).cumcount() == 0]
         return w[["doc_id", "cluster_id"]]
 
-    return (joined.map_batches(add_bucket, batch_format="pyarrow")
-            .groupby("b").map_groups(best, batch_format="pandas"))
+    return exchange(joined, best, ["cluster_id"])
 
 
 def q_dedup_cluster_stats(sf_dir: str):
@@ -4804,8 +4635,7 @@ def q_pack_sequences(sf_dir: str):
                              "seq_id": (before // PACK_BUDGET).astype(
                                  "int64")})
 
-    return bucketed.groupby("bucket").map_groups(pack_bucket,
-                                                 batch_format="pandas")
+    return exchange(bucketed, pack_bucket)
 
 
 SEMDEDUP_T = 0.35  # exercises the drop path on this synthetic corpus; real
@@ -5031,9 +4861,7 @@ def q_dup_ngram_spans(sf_dir: str):
                              "n_docs": agg["n_docs"].astype("int64"),
                              "n_occ": agg["n_occ"].astype("int64")})
 
-    return (_bucketed(partials, ["ngram"])
-            .groupby("bucket")
-            .map_groups(merge_bucket, batch_format="pandas"))
+    return exchange(partials, merge_bucket, ["ngram"])
 
 
 SKEW_HOT_MIN = 8  # fact-side keys at least this frequent are "hot"
@@ -5199,9 +5027,7 @@ def q_window_dedup(sf_dir: str):
         out.loc[w == _NULL_WIN, "window_start"] = pd.NA
         return out
 
-    return (_bucketed(ds, ["user_id", "event_type"])
-            .groupby("bucket")
-            .map_groups(keep_bucket, batch_format="pandas"))
+    return exchange(ds, keep_bucket, ["user_id", "event_type"])
 
 
 def q_grouped_stats(sf_dir: str):
@@ -5247,8 +5073,7 @@ def q_grouped_stats(sf_dir: str):
             "std_qty": np.sqrt(var),
         })
 
-    return _bucketed(parts, ["l_returnflag"]).groupby("bucket").map_groups(
-        finish, batch_format="pandas")
+    return exchange(parts, finish, ["l_returnflag"])
 
 
 def q_kg_degree_hist(sf_dir: str):
@@ -5560,9 +5385,7 @@ def q_dup_ngram_fraction(sf_dir: str):
                              "n": agg["n"].astype("int64"),
                              "ndup": agg["ndup"].astype("int64")})
 
-    merged = (_bucketed(partials, ["gram"])
-              .groupby("bucket").map_groups(merge_bucket,
-                                            batch_format="pandas"))
+    merged = exchange(partials, merge_bucket, ["gram"])
 
     # final doc-keyed reduce via the same bucket-then-vectorize pattern —
     # measured 47 s as a native groupby().aggregate(Sum) on 64 tiny input
@@ -5579,8 +5402,7 @@ def q_dup_ngram_fraction(sf_dir: str):
             "n_dup_grams": agg["ndup"].astype("int64"),
             "dup_frac": nd / n})
 
-    return (_bucketed(merged, ["doc_id"], 16)
-            .groupby("bucket").map_groups(finish, batch_format="pandas"))
+    return exchange(merged, finish, ["doc_id"], 16)
 
 
 def q_quality_filter(sf_dir: str):
@@ -6235,7 +6057,8 @@ ORACLE_SQL = {
         "WITH q AS (SELECT vec_id AS q_id, embedding AS qe "
         f"FROM embeddings WHERE vec_id % {KNN_QUERY_MOD} = 0) "
         "SELECT q_id, vec_id AS n_id, "
-        "round(list_cosine_similarity(embedding, qe), 4) AS score "
+        "round(CAST(list_cosine_similarity(embedding, qe) AS DOUBLE), 4) "
+        "AS score "
         "FROM embeddings e CROSS JOIN q WHERE e.vec_id <> q.q_id "
         "QUALIFY row_number() OVER (PARTITION BY q_id ORDER BY "
         f"list_cosine_similarity(embedding, qe) DESC, vec_id) <= {KNN_K}"
@@ -6537,8 +6360,8 @@ ORACLE_SQL = {
     "ann_topk": (
         "WITH q AS (SELECT embedding AS e FROM embeddings "
         "WHERE vec_id = (SELECT min(vec_id) FROM embeddings)) "
-        "SELECT vec_id, round(list_cosine_similarity(embedding, (SELECT e FROM q)), 4) "
-        "AS score FROM embeddings "
+        "SELECT vec_id, round(CAST(list_cosine_similarity(embedding, "
+        "(SELECT e FROM q)) AS DOUBLE), 4) AS score FROM embeddings "
         "ORDER BY list_cosine_similarity(embedding, (SELECT e FROM q)) DESC, vec_id "
         "LIMIT 10"
     ),
@@ -6547,8 +6370,8 @@ ORACLE_SQL = {
     "ann_index_topk": (
         "WITH q AS (SELECT embedding AS e FROM embeddings "
         "WHERE vec_id = (SELECT min(vec_id) FROM embeddings)) "
-        "SELECT vec_id, round(list_cosine_similarity(embedding, (SELECT e FROM q)), 4) "
-        "AS score FROM embeddings "
+        "SELECT vec_id, round(CAST(list_cosine_similarity(embedding, "
+        "(SELECT e FROM q)) AS DOUBLE), 4) AS score FROM embeddings "
         "ORDER BY list_cosine_similarity(embedding, (SELECT e FROM q)) DESC, vec_id "
         "LIMIT 10"
     ),
@@ -6902,7 +6725,7 @@ ORACLE_SQL = {
     "lm_bigram_score": _LM_ORACLE_SQL,
     "lm_bigram_score_join": _LM_ORACLE_SQL,
     "pivot_counts": (
-        "SELECT date_trunc('day', ts) AS day, "
+        "SELECT CAST(date_trunc('day', ts) AS TIMESTAMP_NS) AS day, "
         + ", ".join(
             f"count(*) FILTER (WHERE event_type = '{et}') AS n_{et}"
             for et in _EVENT_TYPES
@@ -7074,7 +6897,7 @@ ORACLE_SQL = {
         "CAST(o_custkey AS VARCHAR)), 1, 8))::BIGINT AS h32 FROM orders), "
         "r AS (SELECT h32, row_number() OVER (ORDER BY h32) AS rn FROM h), "
         "n AS (SELECT count(*) AS nd FROM h) "
-        "SELECT 256 AS k_used, "
+        "SELECT CAST(256 AS BIGINT) AS k_used, "
         "CASE WHEN nd >= 256 THEN (SELECT h32 FROM r WHERE rn = 256) "
         "ELSE NULL END AS kth_min, "
         "CASE WHEN nd >= 256 THEN "
@@ -7171,7 +6994,8 @@ ORACLE_SQL = {
         "FROM events GROUP BY 1), "
         "r AS (SELECT unnest(generate_series((SELECT min(day) FROM c), "
         "(SELECT max(day) FROM c), INTERVAL 1 DAY)) AS day) "
-        "SELECT r.day, CAST(coalesce(c.n, 0) AS BIGINT) AS n_events "
+        "SELECT CAST(r.day AS TIMESTAMP_NS) AS day, "
+        "CAST(coalesce(c.n, 0) AS BIGINT) AS n_events "
         "FROM r LEFT JOIN c ON r.day = c.day"
     ),
     "time_to_convert": (

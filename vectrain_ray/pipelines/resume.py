@@ -72,7 +72,7 @@ import ray.data as rd
 import logging
 
 from . import phases
-from ..functions.dedup_exact import dedup_exact
+from ..functions.dedup_exact import dedup_exact, exchange
 from ..logs import log_event
 from ..stages import canonicalize, materialize
 from ..state.manifest import (
@@ -707,9 +707,8 @@ def run_kg_resumable(
                 batch_size=None,
             ).materialize()
         else:
-            edges = ep.groupby("bucket").map_groups(
-                materialize._finalize_edges_bucket, batch_format="pyarrow"
-            ).materialize()
+            edges = exchange(ep, materialize._finalize_edges_bucket,
+                             batch_format="pyarrow").materialize()
         edges_out, nodes = phases.finalize_ds(
             edges, rd.read_parquet(mapping_dir), small)
         # both sinks consume the MATERIALIZED edges; the final marker

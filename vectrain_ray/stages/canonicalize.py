@@ -34,6 +34,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .. import rules
+from ..functions.dedup_exact import exchange
 from ..state.unionfind import UnionFind
 from .groups import group_lists, group_sums, sorted_groups
 
@@ -182,9 +183,7 @@ def build_mapping(mentions_ds, extra_pairs: list[tuple[str, str]] | None = None,
             recombine_surface_partials, batch_format="pyarrow",
             batch_size=recombine_batch,
         )
-    mapping = partials.groupby("bucket").map_groups(
-        _canonicalize_bucket, batch_format="pyarrow"
-    )
+    mapping = exchange(partials, _canonicalize_bucket, batch_format="pyarrow")
     if extra_pairs:
         mapping = _apply_union_find(mapping, extra_pairs)
     return mapping
@@ -220,9 +219,7 @@ def build_mapping_from_partials(partials_ds):
     (equivalence-tested): sums are associative and _canonicalize_bucket
     sees the same per-bucket totals either way. Small partials take the
     driver-local ``pipelines.phases.mapping`` instead."""
-    return partials_ds.groupby("bucket").map_groups(
-        _canonicalize_bucket, batch_format="pyarrow"
-    )
+    return exchange(partials_ds, _canonicalize_bucket, batch_format="pyarrow")
 
 
 def _apply_union_find(mapping_ds, pairs: list[tuple[str, str]]):

@@ -568,7 +568,7 @@ def count_unsafe_links_distributed(tr_files: list[str], mapping_dir: str,
     import ray.data as rd
 
     from .. import rules
-    from ..functions.dedup_exact import dedup_exact, key_buckets
+    from ..functions.dedup_exact import dedup_exact, exchange
 
     id_cols = [f"{c}_id" for c in cols]
     tr = rd.read_parquet(tr_files, columns=list(cols) + id_cols)
@@ -627,13 +627,6 @@ def count_unsafe_links_distributed(tr_files: list[str], mapping_dir: str,
     unioned = cands.map_batches(cand_rows, batch_format="pyarrow").union(
         mapping.map_batches(map_rows, batch_format="pyarrow"))
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        b = key_buckets(pd.DataFrame({"norm": t["norm"].to_pandas()}),
-                        ["norm"], 64)
-        return t.append_column("bucket", pa.array(b.values, pa.int32()))
-
     def missing_in_bucket(g) -> "pd.DataFrame":
         import pandas as pd
 
@@ -641,31 +634,28 @@ def count_unsafe_links_distributed(tr_files: list[str], mapping_dir: str,
         c = g[g["s"].notna() & ~g["norm"].isin(mapped)]
         return pd.DataFrame({"n": [int(c["s"].nunique())]})
 
-    miss_partials = unioned.map_batches(
-        add_bucket, batch_format="pyarrow").groupby("bucket").map_groups(
-        missing_in_bucket, batch_format="pandas")
+    miss_partials = exchange(unioned, missing_in_bucket, ["norm"])
     n_missing = int(miss_partials.sum("n") or 0)
     return n_dep + n_missing
 
 
-# --- plain-task mode (micro-batch polls) ------------------------------------
-# One EntityLinker per WORKER PROCESS, keyed by the broadcast ref: the
-# streaming resume path swaps the actor pool for plain tasks under its
-# small-input gate — actor-pool spin-up (~1 s per poll) dominated linking
-# there. ray.get of the ref inside a task is a local object-store read;
-# the per-instance surface memo persists because Ray reuses workers.
+# --- plain-task mode (micro-batch polls, starved clusters) ------------------
+# One linker per WORKER PROCESS, keyed by its kwargs (the broadcast ref or
+# the shard actors, by id): the streaming resume path swaps the actor pool
+# for plain tasks under its small-input gate — actor-pool spin-up (~1 s per
+# poll) dominated linking there — and a 1-CPU cluster has no slot for a
+# pool beside the tasks feeding it. The per-instance surface memo persists
+# because Ray reuses workers.
 _TASK_LINKER_CACHE: dict = {}
 
 
-def link_batch_task(batch, index_ref, cols=("subj", "obj"), dim: int = 64,
-                    fuzzy_threshold: float = 0.85):
-    """Functional twin of ``map_batches(EntityLinker, ...)`` for plain
-    tasks. Same vectorized kernel — only the lifecycle differs."""
-    key = (index_ref.hex(), tuple(cols), dim, fuzzy_threshold)
+def link_batch_task(batch, linker_cls=EntityLinker, **linker_kwargs):
+    """Functional twin of ``map_batches(linker_cls, fn_constructor_kwargs=
+    linker_kwargs)`` for plain tasks. Same vectorized kernel — only the
+    lifecycle differs."""
+    key = (linker_cls.__name__, repr(sorted(linker_kwargs.items())))
     lk = _TASK_LINKER_CACHE.get(key)
     if lk is None:
         _TASK_LINKER_CACHE.clear()  # one live index per worker
-        lk = EntityLinker(index_ref, cols=tuple(cols), dim=dim,
-                          fuzzy_threshold=fuzzy_threshold)
-        _TASK_LINKER_CACHE[key] = lk
+        lk = _TASK_LINKER_CACHE[key] = linker_cls(**linker_kwargs)
     return lk(batch)

@@ -21,6 +21,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.dedup_exact import exchange
 from .groups import group_lists, group_sums, sorted_groups, unpack
 
 PROV_CAP = 20
@@ -159,9 +160,7 @@ def edges_from_linked(linked_ds, recombine_batch: int | None = 1 << 17):
             recombine_edge_partials, batch_format="pyarrow",
             batch_size=recombine_batch,
         )
-    return partials.groupby("bucket").map_groups(
-        _finalize_edges_bucket, batch_format="pyarrow"
-    )
+    return exchange(partials, _finalize_edges_bucket, batch_format="pyarrow")
 
 
 def prov_to_struct(batch: pa.Table) -> pa.Table:
@@ -236,16 +235,6 @@ def _degree_row_for_union(batch: pa.Table) -> pa.Table:
     )
 
 
-def _add_eid_bucket(batch: pa.Table) -> pa.Table:
-    import pandas as pd
-
-    from ..functions.dedup_exact import key_buckets
-
-    df = pd.DataFrame({"entity_id": batch["entity_id"].to_pandas()})
-    buckets = key_buckets(df, ["entity_id"], NUM_BUCKETS)
-    return batch.append_column("bucket", pa.array(buckets.values, pa.int32()))
-
-
 def _merge_nodes_bucket(t: pa.Table) -> pa.Table:
     """One bucket of (mapping ∪ degree) rows → final node rows, vectorized:
     one row per entity that has a mapping row, named after its heaviest
@@ -289,7 +278,5 @@ def nodes_with_degree(mapping_ds, degree_partials_ds, single_task: bool = False)
         return unioned.repartition(1).map_batches(
             _merge_nodes_bucket, batch_format="pyarrow", batch_size=None
         )
-    unioned = unioned.map_batches(_add_eid_bucket, batch_format="pyarrow")
-    return unioned.groupby("bucket").map_groups(
-        _merge_nodes_bucket, batch_format="pyarrow"
-    )
+    return exchange(unioned, _merge_nodes_bucket, ["entity_id"], NUM_BUCKETS,
+                    batch_format="pyarrow")
