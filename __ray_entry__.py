@@ -29,7 +29,9 @@ def entry() -> Any:
     from vectrain_ray.pipelines.kg import run_kg
     from vectrain_ray.pipelines.tpch_kg import tpch_transcripts
 
-    res = run_kg(tpch_transcripts(SF_SMALL), out_dir=None, write_outputs=False)
+    # materialized: run_kg's gate cannot size a lazy Dataset
+    res = run_kg(tpch_transcripts(SF_SMALL).materialize(), out_dir=None,
+                 write_outputs=False)
     return res["triples"]
 
 

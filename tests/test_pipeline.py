@@ -3,6 +3,7 @@
 import os
 
 import pyarrow.parquet as pq
+import pytest
 import ray.data as rd
 
 
@@ -170,3 +171,30 @@ def test_resume_zero_triple_shard_completes(tmp_path):
     assert m["skipped_p3"] == 0
     m2 = run_kg_resumable(str(d), str(tmp_path / "out"), num_parts=2)
     assert m2["skipped_p1"] + m2["skipped_p3"] > 0  # resume skips, no wedge
+
+
+@pytest.mark.parametrize("gate", ["local", "ray"])
+def test_resume_all_empty_corpus_completes(gate, tmp_path, monkeypatch):
+    """Every turn empty: no partials and no edges at all. On both sides of
+    the gates the mapping, edges and nodes dirs exist and hold no file."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from vectrain_ray.pipelines import resume as R
+
+    if gate == "ray":
+        monkeypatch.setattr(R, "LOCAL_MAX_ROWS", 0)
+        monkeypatch.setattr(R, "EDGE_FINALIZE_SINGLE_TASK_MAX", 0)
+    d = tmp_path / "in"
+    d.mkdir()
+    pq.write_table(pa.table({
+        "conv_id": pa.array(["c1", "c1", "c2"]),
+        "turn_idx": pa.array([0, 1, 0], pa.int32()),
+        "text": pa.array(["", "  ", ""]),
+    }), str(d / "p.parquet"))
+    out = tmp_path / "out"
+    m = R.run_kg_resumable(str(d), str(out), num_parts=2)
+    assert {m["gate"][p]["path"] for p in ("p1", "p2", "p4")} == {gate}
+    for table in ("mapping", "edges", "nodes"):
+        assert (out / table).is_dir() and not list(
+            (out / table).glob("*.parquet"))

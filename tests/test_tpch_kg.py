@@ -49,3 +49,17 @@ def test_kg_triples_finishes_at_two_cpus(tmp_path):
     assert p.returncode == 0, p.stderr[-2000:]
     # one "<key> located in <nation>" triple per turn, two turns per entity
     assert int(p.stdout.strip().splitlines()[-1]) == 2 * (1500 + 100)
+
+
+def test_tpch_kg_build_takes_the_driver_path(tmp_path):
+    """The shared kg_edges/kg_nodes build materializes its transcripts, so
+    the gate can size them: a few thousand turns run in the driver."""
+    from vectrain_ray.pipelines.queries import _run_tpch_kg
+
+    sf_dir = str(tmp_path)
+    _write_tables(sf_dir, n_cust=1500, n_supp=100)
+    res = _run_tpch_kg(sf_dir)
+    assert res["gate"]["kg"] == {"path": "local", "rows": 2 * (1500 + 100)}
+    # one "<key> located in <nation>" edge per entity, stated twice
+    edges = res["edges"].to_pandas()
+    assert len(edges) == 1500 + 100 and set(edges["weight"]) == {2}

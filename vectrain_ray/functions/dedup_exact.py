@@ -14,6 +14,9 @@ measured 100×+ slower.
 exchange in the engine goes through it. ``dedup_exact`` keeps a private
 bucket column, because its input is caller data that may already carry a
 ``bucket`` column.
+
+``exchange``, ``map_chunks`` (its map-side counterpart) and ``dedup_exact``
+take a pyarrow table too, and run on it in the driver, with no Ray Data.
 """
 
 from __future__ import annotations
@@ -41,6 +44,27 @@ def key_buckets(df: pd.DataFrame, key_cols: list[str], n: int) -> pd.Series:
     return (h % n).astype("int32")
 
 
+def map_chunks(fn, data, chunk: int | None = None,
+               fn_kwargs: dict | None = None, **ray_args):
+    """``fn``, a batch kernel or a callable class, over ``data`` in
+    ``chunk``-row batches (whole blocks, or the whole table, when None):
+    on a Dataset ``map_batches(fn, batch_format="pyarrow")``, on a pyarrow
+    table slice after slice in the driver, a class constructed once from
+    ``fn_constructor_kwargs``. The other ``ray_args`` matter on Ray only:
+    ``concurrency``, ``max_task_retries``, or the ``batch_size`` of a
+    combiner that runs over a whole table in one call."""
+    if not isinstance(data, pa.Table):
+        return data.map_batches(fn, batch_format="pyarrow",
+                                fn_kwargs=fn_kwargs,
+                                **{"batch_size": chunk, **ray_args})
+    if isinstance(fn, type):
+        fn = fn(**ray_args.get("fn_constructor_kwargs", {}))
+    kwargs = fn_kwargs or {}
+    outs = [fn(data.slice(i, chunk), **kwargs)
+            for i in range(0, data.num_rows, chunk)] if chunk else []
+    return pa.concat_tables(outs) if outs else fn(data, **kwargs)
+
+
 def exchange(ds, finish, keys=None, n: int = 64, batch_format: str = "pandas"):
     """The engine's one all-to-all step: ``groupby("bucket").map_groups(
     finish)`` — one ``finish`` call per coarse bucket, never one per key, so
@@ -48,7 +72,11 @@ def exchange(ds, finish, keys=None, n: int = 64, batch_format: str = "pandas"):
     batch gets ``bucket = key_buckets(keys, n)``, hashing only the key
     columns (the batch itself is never converted to pandas); without, the
     input's own ``bucket`` column is used — a combiner that already
-    computed it, or a semantic bucket such as a range."""
+    computed it, or a semantic bucket such as a range.
+
+    A pyarrow table is one bucket holding every key: ``finish`` is called
+    once, in the driver, which is exact because every finisher groups by
+    its key itself."""
     if keys is not None:
         keys = list(keys)
 
@@ -59,8 +87,10 @@ def exchange(ds, finish, keys=None, n: int = 64, batch_format: str = "pandas"):
             return (t.set_column(i, "bucket", b) if i >= 0
                     else t.append_column("bucket", b))
 
-        ds = ds.map_batches(add_bucket, batch_format="pyarrow",
-                            batch_size=65536)
+        ds = map_chunks(add_bucket, ds, batch_size=65536)
+    if isinstance(ds, pa.Table):
+        out = finish(ds.to_pandas() if batch_format == "pandas" else ds)
+        return out if isinstance(out, pa.Table) else _to_arrow_stripped(out)
     return ds.groupby("bucket").map_groups(finish, batch_format=batch_format)
 
 
@@ -93,7 +123,11 @@ def dedup_exact(ds, key_cols, sort_within: list[str] | None = None,
     block therefore runs the entire downstream chain as ONE task. Callers
     that hang heavy stages (e.g. extraction) off the dedup should size
     ``pre_batch ≈ rows / (2 × CPUs)`` so the post-shuffle operator keeps
-    the cluster busy."""
+    the cluster busy.
+
+    On a pyarrow table it is ``dedup_table``."""
+    if isinstance(ds, pa.Table):
+        return dedup_table(ds, key_cols, sort_within)
     key_cols = list(key_cols)
     order = list(dict.fromkeys((sort_within or []) + key_cols))
 
@@ -119,7 +153,10 @@ def dedup_exact_local(ds, key_cols, sort_within: list[str] | None = None):
     whole block, so a vectorized ``drop_duplicates`` per block is exact.
 
     Use ``dedup_exact`` when the layout is unknown — this variant silently
-    under-dedups if the assumption is violated."""
+    under-dedups if the assumption is violated. A pyarrow table needs no
+    assumption (``dedup_table``)."""
+    if isinstance(ds, pa.Table):
+        return dedup_exact(ds, key_cols, sort_within)
     key_cols = list(key_cols)
     order = list(dict.fromkeys((sort_within or []) + key_cols))
 

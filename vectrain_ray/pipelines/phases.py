@@ -1,17 +1,19 @@
-"""The KG dataflow, written once for both drivers, in two execution modes.
+"""The KG dataflow, written once for both drivers and both execution modes.
 
   turns → extract → surface_partials → mapping → linker
   extract → mentions (encoded)
   extract → link (linker) → edge_partials → finalize (+ mapping)
           → edges, nodes
 
-The table functions (``extract`` … ``finalize``) run each phase in the
-driver on pyarrow tables, with no Ray Data execution; both drivers use them
-below ``resume.LOCAL_MAX_ROWS``. The ``*_ds`` functions are the same phases
-as Ray Data stages, Dataset in, Dataset out; above the gate both drivers
-chain them. Where a phase has a choice of execution (plain tasks or an
-actor pool) the caller passes its own decision in. ``background`` runs the
-overlapped sinks and ``PhaseClock`` keeps the per-phase wall times.
+Each phase takes a pyarrow table or a Dataset, and the input's type is the
+mode: on a table the phase runs in the driver with no Ray Data execution
+(both drivers, below ``resume.LOCAL_MAX_ROWS``), on a Dataset it chains Ray
+Data stages. Each phase has one body; the two modes part only inside
+``map_chunks`` and ``exchange`` (functions/dedup_exact.py). Where a phase
+has a choice of execution on Ray (plain tasks or an actor pool) the caller
+passes its own decision in; on a table the kernels run as plain calls.
+``background`` runs the overlapped sinks and ``PhaseClock`` keeps the
+per-phase wall times.
 
 ``kg.run_kg`` builds flat tables. ``resume.run_kg_resumable`` passes
 ``num_parts``: every output then carries the ``part`` column that its
@@ -30,7 +32,8 @@ import ray
 import ray.data as rd
 
 from .. import rules
-from ..functions.dedup_exact import dedup_table
+from ..functions.dedup_exact import map_chunks
+from ..schema import MAPPING_SCHEMA
 from ..stages import canonicalize, materialize
 from ..stages.encode import ENCODERS, encode_batch_task
 from ..stages.extract import (
@@ -50,12 +53,18 @@ from ..stages.link import (
 from ..tuning import pin_failed_fsspec_http_import
 
 _LOG = logging.getLogger("vectrain_ray.phases")
+# the transcript columns the dataflow reads
+COLS = ["conv_id", "turn_idx", "text"]
 
-# the mapping of a corpus with no mentions
-EMPTY_MAPPING = pa.schema([
-    ("surface_norm", pa.string()), ("entity_id", pa.string()),
-    ("canonical_name", pa.string()), ("n_mentions", pa.int64()),
-    ("aliases", pa.list_(pa.string()))]).empty_table()
+
+def pin(data):
+    """``data`` computed once for its several consumers: a Dataset
+    materialized in the object store (a table already is)."""
+    return data if isinstance(data, pa.Table) else data.materialize()
+
+
+def num_rows(data) -> int:
+    return data.num_rows if isinstance(data, pa.Table) else data.count()
 
 
 def add_part_column(t: pa.Table, num_parts: int) -> pa.Table:
@@ -70,40 +79,30 @@ def add_part_column(t: pa.Table, num_parts: int) -> pa.Table:
     return t.append_column("part", pa.array(parts, pa.int32()))
 
 
-def _parts(t: pa.Table, num_parts: int | None) -> pa.Table:
-    return add_part_column(t, num_parts) if num_parts else t
+def with_parts(data, num_parts: int | None):
+    """``add_part_column`` over ``data`` (unchanged without ``num_parts``)."""
+    if not num_parts:
+        return data
+    return map_chunks(add_part_column, data,
+                      fn_kwargs={"num_parts": num_parts})
 
 
-def map_chunks(fn, t: pa.Table, batch_size: int, **kwargs) -> pa.Table:
-    """A batch kernel over ``t`` in ``batch_size`` slices, in the driver —
-    what ``map_batches(fn, batch_size=batch_size)`` does on Ray."""
-    outs = [fn(t.slice(i, batch_size), **kwargs)
-            for i in range(0, t.num_rows, batch_size)]
-    return pa.concat_tables(outs) if outs else fn(t, **kwargs)
+def extract(turns, batch_size: int | None, num_parts: int | None = None):
+    """Empty text dropped, then extract_batch; each driver dedups re-sent
+    turns in front of it (``dedup_exact``)."""
+    text = map_chunks(filter_nonempty_text, turns, batch_size=batch_size)
+    return with_parts(map_chunks(extract_batch, text, batch_size), num_parts)
 
 
-def extract(turns: pa.Table, batch_size: int,
-            num_parts: int | None = None) -> pa.Table:
-    """Re-sent turns deduped with dedup_exact's winner per (conv_id,
-    turn_idx) — ``turns`` holds every row of its keys — empty text
-    dropped, then extract_batch."""
-    src = dedup_table(turns, ["conv_id", "turn_idx"], sort_within=["text"])
-    return _parts(map_chunks(extract_batch, filter_nonempty_text(src),
-                             batch_size), num_parts)
-
-
-def surface_partials(ext: pa.Table, num_parts: int | None = None) -> pa.Table:
+def surface_partials(ext, num_parts: int | None = None):
     extra = ("part",) if num_parts else ()
-    return canonicalize.recombine_surface_partials(
-        canonicalize.partial_surface_counts(
-            _parts(mentions_table(ext), num_parts), extra_cols=extra),
+    return canonicalize.surface_partials(
+        with_parts(map_chunks(mentions_table, ext), num_parts),
         extra_cols=extra)
 
 
-def mapping(partials: pa.Table) -> pa.Table:
-    """One _canonicalize_bucket call over every bucket (it groups by merge
-    key itself)."""
-    return canonicalize._canonicalize_bucket(partials)
+# the mapping of every surface in a phase's partials
+mapping = canonicalize.build_mapping_from_partials
 
 
 def linker(mapping_t, link_shards: int, index_dir: str | None, dim: int,
@@ -128,131 +127,68 @@ def linker(mapping_t, link_shards: int, index_dir: str | None, dim: int,
             "fuzzy_threshold": fuzzy_threshold}, actors
     df = mapping_t.to_pandas()
     if "surface_norm" not in df.columns:  # a Dataset with no mentions
-        df = EMPTY_MAPPING.to_pandas()
+        df = MAPPING_SCHEMA.empty_table().to_pandas()
     return EntityLinker, {"index_ref": ray.put(build_link_index(df, dim=dim)),
                           "dim": dim, "fuzzy_threshold": fuzzy_threshold}, []
 
 
-def mentions(ext: pa.Table, batch_size: int, num_parts: int | None = None,
-             **enc_kwargs) -> pa.Table:
-    return _parts(map_chunks(encode_batch_task, mentions_table(ext),
-                             batch_size, **enc_kwargs), num_parts)
-
-
-def link(ext: pa.Table, linker_fn, batch_size: int,
-         num_parts: int | None = None) -> pa.Table:
-    return _parts(map_chunks(linker_fn, triples_table(ext), batch_size),
-                  num_parts)
-
-
-def edge_partials(linked: pa.Table, num_parts: int | None = None) -> pa.Table:
-    extra = ("part",) if num_parts else ()
-    return materialize.recombine_edge_partials(
-        materialize.partial_edges(linked, extra_cols=extra), extra_cols=extra)
-
-
-def finalize(partials: pa.Table, mapping_t: pa.Table
-             ) -> tuple[pa.Table, pa.Table]:
-    """(edges with provenance structs, nodes), each merged in one call.
-    With no triples the edges, and with no mentions the nodes, are empty:
-    callers write no file for an empty table, as the Ray sinks write
-    none."""
-    edges = materialize._finalize_edges_bucket(partials)
-    left = pa.concat_tables([
-        materialize._mapping_row_for_union(mapping_t),
-        materialize._degree_row_for_union(materialize.partial_degrees(edges))])
-    return (materialize.prov_to_struct(edges),
-            materialize._merge_nodes_bucket(left))
-
-
-# --- the same phases as Ray Data stages ------------------------------------
-def with_parts(ds, num_parts: int | None):
-    """``add_part_column`` over every batch of ``ds``."""
-    if not num_parts:
-        return ds
-    return ds.map_batches(add_part_column, fn_kwargs={"num_parts": num_parts},
-                          batch_format="pyarrow")
-
-
-def extract_ds(turns, batch_size: int, num_parts: int | None = None):
-    """Empty text dropped, then extract_batch; each driver dedups re-sent
-    turns in front of it."""
-    return with_parts(turns.map_batches(
-        filter_nonempty_text, batch_format="pyarrow", batch_size=batch_size
-    ).map_batches(extract_batch, batch_format="pyarrow",
-                  batch_size=batch_size), num_parts)
-
-
-def surface_partials_ds(ext, num_parts: int | None = None):
-    extra = ("part",) if num_parts else ()
-    return canonicalize.surface_partials(with_parts(ext.map_batches(
-        mentions_table, batch_format="pyarrow"), num_parts), extra_cols=extra)
-
-
-def mentions_ds(ext, batch_size: int, pool: int, tasks: bool,
-                num_parts: int | None = None, max_task_retries: int = 0,
-                **enc_kwargs):
-    """Encoded mentions: plain ``encode_batch_task`` tasks when ``tasks``,
-    else an ``ENCODERS[kind]`` pool of ``pool`` actors whose tasks retry
-    ``max_task_retries`` times (the reference's RetryPolicy,
+def mentions(ext, batch_size: int, num_parts: int | None = None,
+             pool: int | None = None, max_task_retries: int = 0,
+             **enc_kwargs):
+    """Encoded mentions: plain ``encode_batch_task`` calls, or with
+    ``pool`` (Ray only) a pool of that many ``ENCODERS[kind]`` actors whose
+    tasks retry ``max_task_retries`` times (the reference's RetryPolicy,
     config.go:43-46, is parsed but never read; here it is enforced)."""
-    if tasks:  # encode_batch_task caches one encoder (and its surface
-        # memo) per worker process
-        encode = {"fn": encode_batch_task, "fn_kwargs": enc_kwargs}
-    else:
+    if pool:
         ctor = {k: v for k, v in enc_kwargs.items() if k != "kind"}
         encode = {"fn": ENCODERS[enc_kwargs["kind"]],
                   "fn_constructor_kwargs": ctor, "concurrency": pool,
                   **({"max_task_retries": max_task_retries}
                      if max_task_retries else {})}
-    return with_parts(ext.map_batches(
-        mentions_table, batch_format="pyarrow"
-    ).map_batches(**encode, batch_format="pyarrow", batch_size=batch_size),
-        num_parts)
+    else:  # encode_batch_task caches one encoder (and its surface memo)
+        # per worker process, the driver's included
+        encode = {"fn": encode_batch_task, "fn_kwargs": enc_kwargs}
+    return with_parts(map_chunks(data=map_chunks(mentions_table, ext),
+                                 chunk=batch_size, **encode), num_parts)
 
 
-def link_ds(ext, linker_cls, linker_kwargs: dict, batch_size: int,
-            pool: int, tasks: bool, num_parts: int | None = None):
-    """Linked triples: plain ``link_batch_task`` tasks when ``tasks``,
-    else a pool of ``pool`` ``linker_cls`` actors. No task retries on the
-    pool: its constructor takes an object-store ref, and max_task_retries
-    forces max_restarts>0, which deadlocks actor (re)starts whose ctor args
-    live in the object store (ray#53727, reproduced here)."""
-    if tasks:
-        # link_batch_task caches one linker per worker process
-        link = {"fn": link_batch_task,
-                "fn_kwargs": {"linker_cls": linker_cls, **linker_kwargs}}
-    else:
+def link(ext, linker_cls, linker_kwargs: dict, batch_size: int,
+         pool: int | None = None, num_parts: int | None = None):
+    """Linked triples: plain ``link_batch_task`` calls, or with ``pool``
+    (Ray only) a pool of that many ``linker_cls`` actors. No task retries
+    on the pool: its constructor takes an object-store ref, and
+    max_task_retries forces max_restarts>0, which deadlocks actor
+    (re)starts whose ctor args live in the object store (ray#53727,
+    reproduced here)."""
+    if pool:
         link = {"fn": linker_cls, "fn_constructor_kwargs": linker_kwargs,
                 "concurrency": pool}
-    return with_parts(ext.map_batches(
-        triples_table, batch_format="pyarrow"
-    ).map_batches(**link, batch_format="pyarrow", batch_size=batch_size),
-        num_parts)
+    else:  # link_batch_task caches one linker per worker process
+        link = {"fn": link_batch_task,
+                "fn_kwargs": {"linker_cls": linker_cls, **linker_kwargs}}
+    return with_parts(map_chunks(data=map_chunks(triples_table, ext),
+                                 chunk=batch_size, **link), num_parts)
 
 
-def edge_partials_ds(linked, num_parts: int | None = None):
+def edge_partials(linked, num_parts: int | None = None):
     """Map-only edge partials: counts sum and packed provs concatenate, so
     they merge in any grouping (the finalize dedups and caps)."""
-    extra = ("part",) if num_parts else ()
-    return linked.map_batches(
-        materialize.partial_edges, fn_kwargs={"extra_cols": extra},
-        batch_format="pyarrow",
-    ).map_batches(
-        materialize.recombine_edge_partials, fn_kwargs={"extra_cols": extra},
-        batch_format="pyarrow", batch_size=1 << 17,
-    )
+    kwargs = {"extra_cols": ("part",) if num_parts else ()}
+    return map_chunks(materialize.recombine_edge_partials, map_chunks(
+        materialize.partial_edges, linked, fn_kwargs=kwargs),
+        fn_kwargs=kwargs, batch_size=1 << 17)
 
 
-def finalize_ds(edges, mapping, single_task: bool):
+def finalize(edges, mapping_t, single_task: bool = True):
     """(edges with provenance structs, nodes) from the finalized edges,
-    which both consume: pass them materialized. ``single_task`` merges the
-    nodes in one task instead of the bucketed shuffle."""
-    degrees = edges.map_batches(materialize.partial_degrees,
-                                batch_format="pyarrow")
-    return (edges.map_batches(materialize.prov_to_struct,
-                              batch_format="pyarrow"),
-            materialize.nodes_with_degree(mapping, degrees,
+    which both consume: pass a Dataset materialized. On Ray
+    ``single_task`` merges the nodes in one task instead of the bucketed
+    shuffle; on a table they merge in one call either way. With no
+    triples the edges, and with no mentions the nodes, are empty: a table
+    sink writes no file for them, as the Ray sinks write none."""
+    degrees = map_chunks(materialize.partial_degrees, edges)
+    return (map_chunks(materialize.prov_to_struct, edges),
+            materialize.nodes_with_degree(mapping_t, degrees,
                                           single_task=single_task))
 
 

@@ -40,8 +40,9 @@ from ..functions.dedup import dedup_minhash, simhash_candidate_pairs
 from ..functions.dedup_exact import dedup_exact, exchange, key_buckets
 from ..functions.similarity import neardup_pairs_cosine, topk_cosine
 from ..logs import log_event
-from ..stages.extract import extract_batch, filter_nonempty_text, triples_table
+from ..stages.extract import triples_table
 from ..synth import transcripts_from_documents
+from . import phases
 from .kg import run_kg
 from .tpch_kg import tpch_transcripts
 
@@ -1325,10 +1326,7 @@ def q_turn_overlap(sf_dir: str):
 def q_kg_triples(sf_dir: str):
     """Templated TPC-H transcripts → extraction only → (conv, turn, s, p, o).
     Full SQL oracle: the triples are exactly customer/supplier⋈nation."""
-    ts = tpch_transcripts(sf_dir)
-    ext = ts.map_batches(filter_nonempty_text, batch_format="pyarrow").map_batches(
-        extract_batch, batch_format="pyarrow"
-    )
+    ext = phases.extract(tpch_transcripts(sf_dir), batch_size=None)
     return ext.map_batches(
         lambda t: triples_table(t).select(
             ["conv_id", "turn_idx", "subj", "pred", "obj"]
@@ -1522,13 +1520,15 @@ def q_khop(sf_dir: str):
 
 def _run_tpch_kg(sf_dir: str) -> dict:
     """kg_edges and kg_nodes share one pipeline run per sf_dir (results are
-    small → materialize once instead of re-running the whole DAG)."""
+    small → materialize once instead of re-running the whole DAG). The
+    transcripts are materialized first: run_kg cannot size a lazy Dataset,
+    so its gate would send even a few thousand turns to the Ray path."""
 
     def build():
-        res = run_kg(tpch_transcripts(sf_dir), out_dir=None,
+        res = run_kg(tpch_transcripts(sf_dir).materialize(), out_dir=None,
                      write_outputs=False)
         return {"edges": res["edges"].materialize(),
-                "nodes": res["nodes"].materialize()}
+                "nodes": res["nodes"].materialize(), "gate": res["gate"]}
 
     return _session_memo("tpch_kg", sf_dir, build)
 

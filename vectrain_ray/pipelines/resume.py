@@ -35,12 +35,13 @@ Two execution modes of one dataflow. Phase 1, the mention encode, phase 3
 and StreamDriver's shard append compare their input rows with
 LOCAL_MAX_ROWS; phases 2 and 4, whose inputs are pre-aggregated partials,
 compare theirs with EDGE_FINALIZE_SINGLE_TASK_MAX (and phase 4 also needs
-a broadcast-size mapping). Under its gate a phase runs phases.py's table
-functions in the driver and writes each part=K output with
-pq.write_table; at or above it the phase chains phases.py's ``*_ds``
-stages, the same ones run_kg chains, as Ray Data executions, with the
-overlapped sinks on ``phases.background`` threads. Manifests,
-fingerprints, n_unsafe invalidation, the mapping marker and the
+a broadcast-size mapping). The gate only chooses how a phase reads its
+input: under it as a pyarrow table (``pq.read_table``), so phases.py's
+functions run in the driver and ``write_parts`` writes each part=K output
+with pq.write_table; at or above it as a Dataset (``rd.read_parquet``),
+so the same functions, the ones run_kg chains, run as Ray Data
+executions, with the overlapped sinks on ``phases.background`` threads.
+Manifests, fingerprints, n_unsafe invalidation, the mapping marker and the
 commit-last order are the same on both sides. Each decision is logged
 (``gate=<phase>, path="local"|"ray", rows=…``) and returned in
 ``metrics["gate"]``. At the default gates a micro-batch poll runs wholly in
@@ -72,8 +73,9 @@ import ray.data as rd
 import logging
 
 from . import phases
-from ..functions.dedup_exact import dedup_exact, exchange
+from ..functions.dedup_exact import dedup_exact, exchange, map_chunks
 from ..logs import log_event
+from ..schema import EDGE_PARTIAL_SCHEMA, MAPPING_SCHEMA
 from ..stages import canonicalize, materialize
 from ..state.manifest import (
     PartitionManifest,
@@ -116,10 +118,6 @@ FUSE_MATERIALIZE_MAX_ROWS = 8_000_000
 LOCAL_MAX_ROWS = 262_144
 # file name of every local-path output file (one per part=K dir)
 LOCAL_FILE = "local.parquet"
-# the stored edge-partial rows phase 4 merges
-EP_SCHEMA = pa.schema([("src_id", pa.string()), ("dst_id", pa.string()),
-                       ("pred", pa.string()), ("prov", pa.string()),
-                       ("cnt", pa.int64()), ("bucket", pa.int32())])
 
 
 def local_gate(record: dict, phase: str, rows: int,
@@ -137,24 +135,47 @@ def local_gate(record: dict, phase: str, rows: int,
     return path == "local"
 
 
-def write_parts(t: pa.Table, out_dir: str, table: str,
-                name: str = LOCAL_FILE) -> None:
-    """In-driver twin of ``write_parquet(partition_cols=["part"])``: one
-    file per part present in ``t``, written without the part column (a
-    part with no rows gets no file, as on the Ray sink)."""
-    for part in sorted(pc.unique(t["part"]).to_pylist()):
+def write_parts(data, out_dir: str, table: str, name: str = LOCAL_FILE,
+                min_rows: int = 65536, **ray_args) -> None:
+    """``data`` under ``out_dir/table/part=K/``, without its part column.
+    A pyarrow table is written as one file ``name`` per part present in it
+    (a part with no rows gets no file, as on the Ray sink); a Dataset with
+    one partitioned write_parquet of ``min_rows`` rows per file and the
+    other ``ray_args`` (a ``filename_provider``)."""
+    if not isinstance(data, pa.Table):
+        data.write_parquet(os.path.join(out_dir, table),
+                           partition_cols=["part"], min_rows_per_file=min_rows,
+                           **ray_args)
+        return
+    for part in sorted(pc.unique(data["part"]).to_pylist()):
         d = partition_output_dir(out_dir, table, part)
         os.makedirs(d, exist_ok=True)
         pq.write_table(
-            t.filter(pc.equal(t["part"], part)).drop_columns(["part"]),
+            data.filter(pc.equal(data["part"], part)).drop_columns(["part"]),
             os.path.join(d, name))
 
 
-def write_parts_ds(ds, out_dir: str, table: str,
-                   min_rows: int = 65536) -> None:
-    """``write_parts`` on the Ray path: one partitioned write_parquet."""
-    ds.write_parquet(os.path.join(out_dir, table), partition_cols=["part"],
-                     min_rows_per_file=min_rows)
+def write_table(data, path: str, name: str = LOCAL_FILE) -> None:
+    """A flat table's sink: a pyarrow table as the one file ``name`` under
+    ``path`` (none for an empty table, as the Ray sink writes none), a
+    Dataset with write_parquet."""
+    if not isinstance(data, pa.Table):
+        data.write_parquet(path)
+    elif data.num_rows:
+        os.makedirs(path, exist_ok=True)
+        pq.write_table(data, os.path.join(path, name))
+
+
+def _read(files, local: bool, held=None, empty: pa.Table | None = None,
+          **kwargs):
+    """``files`` as a pyarrow table when ``local``, else as a Dataset:
+    ``held`` when it already holds them in that form, ``empty`` when there
+    are no files."""
+    if isinstance(held, pa.Table if local else rd.Dataset):
+        return held
+    if not files and empty is not None:
+        return empty if local else rd.from_arrow(empty)
+    return (pq.read_table if local else rd.read_parquet)(files, **kwargs)
 
 
 def _rows(files: list[str]) -> int:
@@ -173,16 +194,14 @@ def _shard(input_path: str, out_dir: str, num_parts: int,
     if os.path.exists(marker):
         return shards
     if source_kind == "parquet":
-        ds = rd.read_parquet(input_path,
-                             columns=["conv_id", "turn_idx", "text"])
+        ds = rd.read_parquet(input_path, columns=phases.COLS)
     else:  # registry dispatch (SourceSpec.kind), then prune columns
         from ..sources.readers import get_reader
 
-        ds = get_reader(source_kind)(input_path).select_columns(
-            ["conv_id", "turn_idx", "text"])
+        ds = get_reader(source_kind)(input_path).select_columns(phases.COLS)
 
-    write_parts_ds(phases.with_parts(ds, num_parts), out_dir, "shards",
-                   1 << 19)
+    write_parts(phases.with_parts(ds, num_parts), out_dir, "shards",
+                min_rows=1 << 19)
     open(marker, "w").write("ok")
     return shards
 
@@ -205,8 +224,7 @@ def _backfill_surface_partials(out_dir: str, num_parts: int) -> int:
         ext = _part_files(out_dir, "extracted", part)
         if ext and not glob.glob(os.path.join(sp_dir, "*.parquet")):
             clear_partition_outputs(out_dir, ["surface_partials"], part)
-            phases.surface_partials_ds(rd.read_parquet(ext)).write_parquet(
-                tmp)
+            phases.surface_partials(rd.read_parquet(ext)).write_parquet(tmp)
             os.rename(tmp, sp_dir)
             n += 1
     return n
@@ -254,98 +272,106 @@ def run_kg_resumable(
     shards = _shard(input_path, out_dir, num_parts, source_kind)
     clock.lap("shard")
 
+    def _todo(table: str, man: PartitionManifest, skipped: str,
+              also_done=lambda part: True) -> list[tuple[int, list[str]]]:
+        """(part, files) of every part of ``table`` whose ``man`` manifest
+        is stale; the others are counted in ``metrics[skipped]``."""
+        todo = []
+        metrics[skipped] = 0
+        for part in range(num_parts):
+            files = _part_files(out_dir, table, part)
+            if files and man.is_done(part, files) and also_done(part):
+                metrics[skipped] += 1
+            elif files:
+                todo.append((part, files))
+        return todo
+
     # ---- phase 1: per-shard extraction ----------------------------------
-    p1_todo: list[tuple[int, list[str]]] = []
-    for part in range(num_parts):
-        files = _part_files(out_dir, "shards", part)
-        if not files:
-            continue
-        if man1.is_done(part, files):
-            metrics["skipped_p1"] += 1
-            continue
-        p1_todo.append((part, files))
+    p1_todo = _todo("shards", man1, "skipped_p1")
 
     def _run_p1(todo: list[tuple[int, list[str]]]):
         """Every stale shard in ONE pass; rows land partitioned by ``part``
         (vectorized crc on conv_id), so per-shard outputs, manifests and
         the O(delta) skip logic are unchanged, and a crash before the
-        commits makes the next run redo exactly these shards. On the Ray
-        path under FUSE_MATERIALIZE_MAX_ROWS the extract chain materializes
-        ONCE and both sinks consume the handle (write → read-back → second
-        execution cost ~3 s per micro-batch poll). Returns ``(extracted,
-        finisher)``: the extracted rows (a pyarrow table on the local
-        path, a materialized Dataset under the fuse gate, else None) for
-        phases 1.7 and 3 to reuse, and a finisher when the extracted sink
-        was deferred to a background thread."""
+        commits makes the next run redo exactly these shards. Under
+        FUSE_MATERIALIZE_MAX_ROWS (always on the local path) the extract
+        chain runs ONCE and both sinks consume its output (on Ray, write →
+        read-back → second execution cost ~3 s per micro-batch poll).
+        Returns ``(extracted, finisher)``: the extracted rows (a pyarrow
+        table on the local path, a materialized Dataset under the fuse
+        gate, else None) for phases 1.7 and 3 to reuse, and a finisher
+        when the extracted sink was deferred to a background thread."""
         t0 = time.time()
         for part, _ in todo:
             clear_partition_outputs(out_dir, TABLES_P1, part)
         all_files = sorted(f for _, fs in todo for f in fs)
         n_in = _rows(all_files)
-        if local_gate(gate, "p1", n_in):
-            # shards hold whole conversations → dedup over the todo shards
-            # is exact
-            ext = phases.extract(
-                pq.read_table(all_files,
-                              columns=["conv_id", "turn_idx", "text"]),
-                batch_size, num_parts)
-            # no rows, no part files (as on the Ray sinks)
-            write_parts(ext, out_dir, "extracted")
-            write_parts(phases.surface_partials(ext, num_parts), out_dir,
-                        "surface_partials")
-            _commit_p1(todo, t0)
-            return ext, None
-        ds = rd.read_parquet(all_files)
+        local = local_gate(gate, "p1", n_in)
         # global bucketed dedup ≡ the old per-shard dedup: conv_id
         # determines part, so (conv_id, turn_idx) groups never span shards.
         # pre_batch sized so the post-shuffle operator (which Ray fuses the
         # EXTRACTION into) gets ≥ ~2×CPUs blocks — a micro-batch that
         # collapsed to one sort partition ran the whole extract serially
         target = max(8192, min(65536, n_in // (2 * cpus) or 1))
-        ds = dedup_exact(ds, ["conv_id", "turn_idx"], sort_within=["text"],
-                         pre_batch=target)
-        # re-block after the dedup exchange: Ray fuses the extraction into
-        # the post-sort operator AND bundles write-task inputs up to the
-        # write's min_rows_per_file — on a micro-batch both collapse the
-        # whole extract chain into ONE serial task (measured 6-9 s for
-        # work that takes ~1.5 s at 32-way). Streaming repartition +
-        # a block-sized file floor keep task granularity ≈ 2×CPUs.
-        ds = ds.repartition(target_num_rows_per_block=target)
-        ext = phases.extract_ds(ds, batch_size, num_parts)
+        src = dedup_exact(
+            pq.read_table(all_files, columns=phases.COLS) if local
+            else rd.read_parquet(all_files),
+            ["conv_id", "turn_idx"], sort_within=["text"], pre_batch=target)
+        if not local:
+            # re-block after the dedup exchange: Ray fuses the extraction
+            # into the post-sort operator AND bundles write-task inputs up
+            # to the write's min_rows_per_file — on a micro-batch both
+            # collapse the whole extract chain into ONE serial task
+            # (measured 6-9 s for work that takes ~1.5 s at 32-way).
+            # Streaming repartition + a block-sized file floor keep task
+            # granularity ≈ 2×CPUs.
+            src = src.repartition(target_num_rows_per_block=target)
+        ext = phases.extract(src, batch_size, num_parts)
 
         def _w_sp(src) -> None:
-            # every todo shard's surface partials in one execution, keyed
-            # per shard by the part column
-            write_parts_ds(phases.surface_partials_ds(src, num_parts),
-                           out_dir, "surface_partials")
+            # every todo shard's surface partials in one pass, keyed per
+            # shard by the part column
+            write_parts(phases.surface_partials(src, num_parts), out_dir,
+                        "surface_partials")
 
-        ext_m = None
-        if n_in < FUSE_MATERIALIZE_MAX_ROWS:
-            ext_m = ext.materialize()
+        # phase 2 needs only the surface partials: with ``overlap`` the
+        # extracted sink joins (with the manifest commit) right after phase
+        # 2, so it overlaps the mapping rebuild
+        return _sinks(todo, ext, "extracted", _w_sp,
+                      lambda: _commit_p1(todo, t0),
+                      fuse=local or n_in < FUSE_MATERIALIZE_MAX_ROWS,
+                      min_rows=target)
 
-            _w_ext = functools.partial(write_parts_ds, ext_m, out_dir,
-                                       "extracted", target)
-            # phase 2 needs only the surface partials: with ``overlap`` the
-            # extracted sink joins (with the manifest commit) right after
-            # phase 2, so it overlaps the mapping rebuild
-            join_ext = phases.background(_w_ext) if overlap else None
-            if not overlap:
-                _w_ext()
-            # with no rows the partials dir stays absent, as on the
-            # read-back path with zero extracted files
-            if ext_m.count():
-                _w_sp(ext_m)
-            if join_ext is not None:
-                return ext_m, lambda: (join_ext(), _commit_p1(todo, t0))
-        else:
-            write_parts_ds(ext, out_dir, "extracted", target)
-            ext_back = sorted(f for part, _ in todo
-                              for f in _part_files(out_dir, "extracted",
-                                                   part))
-            if ext_back:
-                _w_sp(rd.read_parquet(ext_back))
-        _commit_p1(todo, t0)
-        return ext_m, None
+    def _sinks(todo, rows, table: str, second, commit, fuse: bool,
+               **write_args):
+        """Both sinks of phase 1 or 3: ``rows`` into its own ``table``,
+        then ``second`` over the same rows, skipped with none (its dir
+        stays absent), then ``commit``. With ``fuse`` ``rows`` is computed
+        once for both, and on Ray with ``overlap`` the first sink runs in
+        the background: the finisher returned joins it and commits.
+        Without, the first sink streams and ``second`` reads its files
+        back. Returns (the computed rows or None, the finisher or None)."""
+        if not fuse:
+            write_parts(rows, out_dir, table, **write_args)
+            back = sorted(f for part, _ in todo
+                          for f in _part_files(out_dir, table, part))
+            if back:
+                second(rd.read_parquet(back))
+            commit()
+            return None, None
+        rows = phases.pin(rows)
+        first = functools.partial(write_parts, rows, out_dir, table,
+                                  **write_args)
+        join = (phases.background(first)
+                if overlap and isinstance(rows, rd.Dataset) else None)
+        if join is None:
+            first()
+        if phases.num_rows(rows):
+            second(rows)
+        if join is not None:
+            return rows, lambda: (join(), commit())
+        commit()
+        return rows, None
 
     def _commit_p1(todo: list[tuple[int, list[str]]], t0: float) -> None:
         """Commit LAST, after both phase-1 sinks are durable. Every
@@ -387,20 +413,14 @@ def run_kg_resumable(
             clear_partition_outputs(out_dir, TABLES_M, part)
         all_ext = sorted(f for _, fs in todo for f in fs)
         n_ext = _rows(all_ext)
-        if local_gate(gate, "mentions", n_ext):
-            ext = src if isinstance(src, pa.Table) else pq.read_table(all_ext)
-            write_parts(phases.mentions(ext, batch_size, num_parts,
-                                        **enc_kwargs), out_dir, "mentions")
-        else:
-            if not isinstance(src, rd.Dataset):
-                src = rd.read_parquet(all_ext)
-            # plain tasks under the fuse gate: encoder-pool spin-up
-            # dominates micro-batch encodes
-            write_parts_ds(phases.mentions_ds(
-                src, batch_size, pool,
-                tasks=n_ext < FUSE_MATERIALIZE_MAX_ROWS, num_parts=num_parts,
-                max_task_retries=max_task_retries, **enc_kwargs,
-            ), out_dir, "mentions")
+        ext = _read(all_ext, local_gate(gate, "mentions", n_ext), held=src)
+        # plain tasks under the fuse gate: encoder-pool spin-up dominates
+        # micro-batch encodes
+        write_parts(phases.mentions(
+            ext, batch_size, num_parts,
+            pool=None if n_ext < FUSE_MATERIALIZE_MAX_ROWS else pool,
+            max_task_retries=max_task_retries, **enc_kwargs,
+        ), out_dir, "mentions")
         wall = round((time.time() - t0) / len(todo), 3)
         for part, ext_files in todo:
             man_m.commit(part, ext_files,
@@ -432,24 +452,20 @@ def run_kg_resumable(
     if not marker_ok:
         # O(distinct surfaces): the global mapping is rebuilt from the
         # per-shard count partials, not by re-reading every mention.
-        # An all-empty corpus (every turn filtered) has no partials at all:
-        # the local path writes no mapping file, the Ray path builds the
-        # mapping from a zero-row partials table.
         n_sp_rows = _rows(sp_all)
         if os.path.exists(mapping_dir):
             shutil.rmtree(mapping_dir)
-        if local_gate(gate, "p2", n_sp_rows,
-                      limit=EDGE_FINALIZE_SINGLE_TASK_MAX):
-            os.makedirs(mapping_dir)
-            if n_sp_rows:
-                pq.write_table(phases.mapping(pq.read_table(sp_all)),
-                               os.path.join(mapping_dir, LOCAL_FILE))
-        else:
-            canonicalize.build_mapping_from_partials(
-                rd.read_parquet(sp_all) if sp_all else
-                canonicalize.surface_partials(rd.from_arrow(pa.table(
-                    {"surface_form": pa.array([], pa.string())}))),
-            ).write_parquet(mapping_dir)
+        os.makedirs(mapping_dir)
+        local = local_gate(gate, "p2", n_sp_rows,
+                           limit=EDGE_FINALIZE_SINGLE_TASK_MAX)
+        # An all-empty corpus (every turn filtered) has no partials at all:
+        # the mapping is built from the partials of no surface forms (the
+        # local path then writes no mapping file).
+        no_forms = pa.table({"surface_form": pa.array([], pa.string())})
+        partials = (_read(sp_all, local) if sp_all else
+                    canonicalize.surface_partials(_read([], local,
+                                                        empty=no_forms)))
+        write_table(phases.mapping(partials), mapping_dir)
         # The mapping changed — but a shard's phase-3 output is a PURE
         # function of its own extracted input unless some surface resolved
         # through the mapping-dependent path: a fuzzy-cosine DEPARTURE from
@@ -488,7 +504,7 @@ def run_kg_resumable(
         # rd.read_parquet().to_pandas() here paid ~1.5 s of execution
         # fixed cost per poll just to load a few thousand rows
         mapping = (pq.read_table(map_files) if map_files
-                   else phases.EMPTY_MAPPING)
+                   else MAPPING_SCHEMA.empty_table())
     linker_cls, linker_kwargs, shard_actors = phases.linker(
         mapping, link_shards, index_dir, dim, fuzzy_threshold, link_ann,
         link_ann_cells, link_ann_probe)
@@ -506,17 +522,8 @@ def run_kg_resumable(
     # scan + launch the mention encode now that extracted files are final;
     # with ``overlap`` it runs in the background through phases 3–4
     # (joined pre-marker)
-    m_todo: list[tuple[int, list[str]]] = []
-    metrics["skipped_mentions"] = 0
-    for part in range(num_parts):
-        ext_files = _part_files(out_dir, "extracted", part)
-        if not ext_files:
-            continue
-        if man_m.is_done(part, ext_files) and \
-                (man_m.load(part) or {}).get("encoder") == enc_sig:
-            metrics["skipped_mentions"] += 1
-            continue
-        m_todo.append((part, ext_files))
+    m_todo = _todo("extracted", man_m, "skipped_mentions", lambda part: (
+        man_m.load(part) or {}).get("encoder") == enc_sig)
     join_mentions = None
     if m_todo:
         m_src = (p1_ext if sorted(p for p, _ in m_todo) == p1_ran_parts
@@ -528,15 +535,7 @@ def run_kg_resumable(
             _run_mentions_fused(m_todo, m_src)
 
     # ---- phase 3: per-shard linking + mention encoding + edge partials --
-    p3_todo: list[tuple[int, list[str]]] = []
-    for part in range(num_parts):
-        ext_files = _part_files(out_dir, "extracted", part)
-        if not ext_files:
-            continue
-        if man3.is_done(part, ext_files):
-            metrics["skipped_p3"] += 1
-            continue
-        p3_todo.append((part, ext_files))
+    p3_todo = _todo("extracted", man3, "skipped_p3")
 
     def _n_unsafe(tr_files: list[str], n_tr: int) -> int:
         """One shard's mapping-dependence counter (the selective phase-3
@@ -581,64 +580,39 @@ def run_kg_resumable(
             clear_partition_outputs(out_dir, TABLES_P3, part)
         all_ext = sorted(f for _, fs in todo for f in fs)
         n_ext = _rows(all_ext)
+        local = local_gate(gate, "p3", n_ext)
         # reuse the extracted rows phase 1 still holds when its run covered
         # exactly these parts (always true on a streaming poll: an extract
         # rewrite invalidates the p3 manifest)
-        ext = p1_ext if p3_parts == p1_ran_parts else None
-        if local_gate(gate, "p3", n_ext):
-            if not isinstance(ext, pa.Table):
-                ext = pq.read_table(all_ext)
-            linked = phases.link(ext, linker_cls(**linker_kwargs),
-                                 batch_size, num_parts)
-            write_parts(linked, out_dir, "triples")
-            write_parts(phases.edge_partials(linked, num_parts), out_dir,
-                        "edge_partials")
-            _commit_p3(todo, t0)
-            return None
-        if not isinstance(ext, rd.Dataset):
-            ext = rd.read_parquet(all_ext)
+        ext = _read(all_ext, local,
+                    held=p1_ext if p3_parts == p1_ran_parts else None)
         fuse_small = n_ext < FUSE_MATERIALIZE_MAX_ROWS
         # plain tasks under the fuse gate: pool spin-up (~1 s/poll) dwarfs
         # micro-batch linking, and tasks let Ray fuse the whole
         # triples→link→part chain into one operator
-        linked = phases.link_ds(ext, linker_cls, linker_kwargs, batch_size,
-                                pool, tasks=fuse_small, num_parts=num_parts)
+        linked = phases.link(ext, linker_cls, linker_kwargs, batch_size,
+                             pool=None if fuse_small else pool,
+                             num_parts=num_parts)
 
         # the stored edge partials need no per-shard finalize exchange at
         # all; phase 4 merges every shard's partials in its one global
         # groupby. A shard with ZERO triples writes no files and simply has
         # no partials dir.
         def _ep_from(src) -> None:
-            write_parts_ds(phases.edge_partials_ds(src, num_parts), out_dir,
-                           "edge_partials")
+            # read-back triples get their part column back first
+            write_parts(phases.edge_partials(
+                src if fuse_small else phases.with_parts(src, num_parts),
+                num_parts), out_dir, "edge_partials")
 
-        if fuse_small:
-            # link ONCE, then feed both sinks from the in-memory handle —
-            # the written-triples read-back was a pure-fixed-cost second
-            # execution per micro-batch poll
-            linked_m = linked.materialize()
-            _w_tr = functools.partial(write_parts_ds, linked_m, out_dir,
-                                      "triples")
-            # phase 4 needs only the edge partials: with ``overlap`` the
-            # triples sink joins right before the final marker, so it
-            # overlaps the whole finalize phase
-            join_tr = phases.background(_w_tr) if overlap else None
-            if not overlap:
-                _w_tr()
-            if linked_m.count():
-                _ep_from(linked_m)
-            if join_tr is not None:
-                return lambda: (join_tr(), _commit_p3(todo, t0))
-        else:
-            write_parts_ds(linked, out_dir, "triples")
-            tr_back = sorted(f for part, _ in todo
-                             for f in _part_files(out_dir, "triples", part))
-            if tr_back:
-                _ep_from(phases.with_parts(rd.read_parquet(tr_back),
-                                           num_parts))
-
-        _commit_p3(todo, t0)
-        return None
+        # under the fuse gate link ONCE, then feed both sinks from its
+        # output — on Ray the written-triples read-back was a
+        # pure-fixed-cost second execution per micro-batch poll. Phase 4
+        # needs only the edge partials: with ``overlap`` the triples sink
+        # joins right before the final marker, so it overlaps the whole
+        # finalize phase
+        return _sinks(todo, linked, "triples", _ep_from,
+                      lambda: _commit_p3(todo, t0),
+                      fuse=local or fuse_small)[1]
 
     def _commit_p3(todo: list[tuple[int, list[str]]], t0: float) -> None:
         """Commit LAST, after all of the shard's sinks are durable."""
@@ -668,9 +642,8 @@ def run_kg_resumable(
     final_marker = os.path.join(out_dir, "_FINAL_DONE")
     ep_all = sorted(glob.glob(os.path.join(out_dir, "edge_partials", "part=*", "*.parquet")))
     for tbl in ("edges", "nodes"):
-        p = os.path.join(out_dir, tbl)
-        if os.path.exists(p):
-            shutil.rmtree(p)
+        shutil.rmtree(os.path.join(out_dir, tbl), ignore_errors=True)
+        os.makedirs(os.path.join(out_dir, tbl))
     if os.path.exists(final_marker):
         os.remove(final_marker)
 
@@ -686,41 +659,32 @@ def run_kg_resumable(
     # the same rows and shipped its output back to the driver anyway. At
     # 4 M all-distinct partial rows the call takes ~2 GB of driver memory
     small = n_ep_rows < EDGE_FINALIZE_SINGLE_TASK_MAX
-    if local_gate(gate, "p4", n_ep_rows, limit=EDGE_FINALIZE_SINGLE_TASK_MAX,
-                  allowed=n_map_rows < UNSAFE_SET_MAX_ENTITIES):
-        tables = phases.finalize(
-            pq.read_table(ep_all, columns=EP_SCHEMA.names) if ep_all
-            else EP_SCHEMA.empty_table(),
-            pq.read_table(map_files) if map_files else phases.EMPTY_MAPPING)
-        for tbl, t in zip(("edges", "nodes"), tables):
-            os.makedirs(os.path.join(out_dir, tbl))
-            if t.num_rows:  # an empty table gets no file, as on Ray
-                pq.write_table(t, os.path.join(out_dir, tbl,
-                                               "part-0.parquet"))
+    local = local_gate(gate, "p4", n_ep_rows,
+                       limit=EDGE_FINALIZE_SINGLE_TASK_MAX,
+                       allowed=n_map_rows < UNSAFE_SET_MAX_ENTITIES)
+    # zero triples corpus-wide → empty partial-row table
+    ep = _read(ep_all, local, columns=EDGE_PARTIAL_SCHEMA.names,
+               empty=EDGE_PARTIAL_SCHEMA.empty_table())
+    if small and not local:  # only with a mapping past the broadcast size
+        edges = map_chunks(materialize._finalize_edges_bucket,
+                           ep.repartition(1))
     else:
-        # zero triples corpus-wide → empty partial-row table
-        ep = (rd.read_parquet(ep_all, columns=EP_SCHEMA.names) if ep_all
-              else rd.from_arrow(EP_SCHEMA.empty_table()))
-        if small:  # only with a mapping past the broadcast size
-            edges = ep.repartition(1).map_batches(
-                materialize._finalize_edges_bucket, batch_format="pyarrow",
-                batch_size=None,
-            ).materialize()
-        else:
-            edges = exchange(ep, materialize._finalize_edges_bucket,
-                             batch_format="pyarrow").materialize()
-        edges_out, nodes = phases.finalize_ds(
-            edges, rd.read_parquet(mapping_dir), small)
-        # both sinks consume the MATERIALIZED edges; the final marker
-        # commits only after both are durable
-        sinks = (lambda: edges_out.write_parquet(os.path.join(out_dir,
-                                                              "edges")),
-                 lambda: nodes.write_parquet(os.path.join(out_dir, "nodes")))
-        if overlap:
-            phases.background(*sinks)()
-        else:
-            for sink in sinks:
-                sink()
+        edges = exchange(ep, materialize._finalize_edges_bucket,
+                         batch_format="pyarrow")
+    edges_out, nodes = phases.finalize(
+        phases.pin(edges),
+        _read(map_files if local else mapping_dir, local,
+              empty=MAPPING_SCHEMA.empty_table()), small)
+    # both sinks consume the pinned edges; the final marker commits only
+    # after both are durable
+    sinks = [functools.partial(write_table, t, os.path.join(out_dir, tbl),
+                               "part-0.parquet")
+             for tbl, t in (("edges", edges_out), ("nodes", nodes))]
+    if overlap and not local:
+        phases.background(*sinks)()
+    else:
+        for sink in sinks:
+            sink()
     # join every deferred sink, THEN commit p3 manifests, THEN the marker:
     # _FINAL_DONE must imply every table (mentions + triples included)
     # durable and every manifest committed

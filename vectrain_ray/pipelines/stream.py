@@ -38,7 +38,7 @@ import pyarrow.parquet as pq
 import ray.data as rd
 
 from ..logs import log_event
-from .phases import add_part_column, with_parts
+from .phases import COLS, with_parts
 from .resume import local_gate, run_kg_resumable, write_parts
 
 _LOG = logging.getLogger("vectrain_ray.stream")
@@ -144,22 +144,15 @@ class StreamDriver:
         """Write the landing rows of ``paths`` into shards/part=K/ as
         ``src<tag>_*`` files: in the driver under resume.LOCAL_MAX_ROWS,
         else as one Ray execution."""
-        if local_gate(self._gate, "shard", rows):
-            write_parts(add_part_column(
-                pq.read_table(sorted(paths),
-                              columns=["conv_id", "turn_idx", "text"]),
-                num_parts=self.num_parts),
-                self.out_dir, "shards", f"src{tag}_local.parquet")
-            return
-        with_parts(rd.read_parquet(
-            sorted(paths), columns=["conv_id", "turn_idx", "text"]
-        ), self.num_parts).write_parquet(
-            self.shards_dir,
-            partition_cols=["part"],
-            filename_provider=_SrcFilenameProvider(tag),
-            min_rows_per_file=1 << 20,  # coalesce: micro-batches must not
-            # shatter into per-block-per-part tiny files
-        )
+        read = (pq.read_table if local_gate(self._gate, "shard", rows)
+                else rd.read_parquet)
+        write_parts(with_parts(read(sorted(paths), columns=COLS),
+                               self.num_parts),
+                    self.out_dir, "shards", f"src{tag}_local.parquet",
+                    # coalesce: micro-batches must not shatter into
+                    # per-block-per-part tiny files
+                    min_rows=1 << 20,
+                    filename_provider=_SrcFilenameProvider(tag))
 
     def _commit_batch(self) -> None:
         try:

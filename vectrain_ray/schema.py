@@ -39,10 +39,12 @@ MENTION_SCHEMA = pa.schema(
 )
 
 
+# the encoded mentions: ``encode_err`` is the dead letter of a row that
+# could not be encoded
 def mention_schema_with_embedding(dim: int = DEFAULT_DIM) -> pa.Schema:
     return MENTION_SCHEMA.append(
         pa.field("embedding", pa.list_(pa.float32(), dim))  # FixedSizeList → zero-copy numpy
-    )
+    ).append(pa.field("encode_err", pa.string()))
 
 
 TRIPLE_SCHEMA = pa.schema(
@@ -55,9 +57,10 @@ TRIPLE_SCHEMA = pa.schema(
     ]
 )
 
-LINKED_TRIPLE_SCHEMA = TRIPLE_SCHEMA.append(pa.field("subj_id", pa.string())).append(
-    pa.field("obj_id", pa.string())
-)
+# the triples table: each triple keeps its extraction row_id
+LINKED_TRIPLE_SCHEMA = TRIPLE_SCHEMA.insert(
+    2, pa.field("row_id", pa.string())).append(
+    pa.field("subj_id", pa.string())).append(pa.field("obj_id", pa.string()))
 
 NODE_SCHEMA = pa.schema(
     [
@@ -83,6 +86,17 @@ EDGE_SCHEMA = pa.schema(
         ),
     ]
 )
+
+# surface_norm → entity: the canonicalization output the linker indexes
+MAPPING_SCHEMA = pa.schema([
+    ("surface_norm", pa.string()), ("entity_id", pa.string()),
+    ("canonical_name", pa.string()), ("n_mentions", pa.int64()),
+    ("aliases", pa.list_(pa.string()))])
+
+# the resumable pipeline's stored per-shard edge partials, merged by phase 4
+EDGE_PARTIAL_SCHEMA = pa.schema([
+    ("src_id", pa.string()), ("dst_id", pa.string()), ("pred", pa.string()),
+    ("prov", pa.string()), ("cnt", pa.int64()), ("bucket", pa.int32())])
 
 # Mirror of the reference's wire record (pkg/types/entity.go:3-11 + the typed
 # sink projection config config/kafka_config.yaml:39-43) for the T1–T5 ops.

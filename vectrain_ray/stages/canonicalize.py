@@ -34,7 +34,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .. import rules
-from ..functions.dedup_exact import exchange
+from ..functions.dedup_exact import exchange, map_chunks
 from ..state.unionfind import UnionFind
 from .groups import group_lists, group_sums, sorted_groups
 
@@ -175,15 +175,10 @@ def build_mapping(mentions_ds, extra_pairs: list[tuple[str, str]] | None = None,
     ``recombine_batch``: bundle size for the second-level combiner (None
     disables it).
     """
-    partials = mentions_ds.map_batches(
-        partial_surface_counts, batch_format="pyarrow", batch_size=65536
-    )
-    if recombine_batch:
-        partials = partials.map_batches(
-            recombine_surface_partials, batch_format="pyarrow",
-            batch_size=recombine_batch,
-        )
-    mapping = exchange(partials, _canonicalize_bucket, batch_format="pyarrow")
+    partials = (surface_partials(mentions_ds, recombine_batch)
+                if recombine_batch else map_chunks(
+                    partial_surface_counts, mentions_ds, batch_size=65536))
+    mapping = build_mapping_from_partials(partials)
     if extra_pairs:
         mapping = _apply_union_find(mapping, extra_pairs)
     return mapping
@@ -203,22 +198,20 @@ def surface_partials(mentions_ds, collapse_batch: int = 1 << 20,
     (e.g. ``("part",)``) keys the partials per shard so one fused execution
     covers every stale shard (written with ``partition_cols=extra_cols``,
     which strips them from the stored files — the artifact schema is
-    unchanged either way)."""
-    return mentions_ds.map_batches(
-        partial_surface_counts, fn_kwargs={"extra_cols": extra_cols},
-        batch_format="pyarrow", batch_size=65536
-    ).map_batches(
-        recombine_surface_partials, fn_kwargs={"extra_cols": extra_cols},
-        batch_format="pyarrow", batch_size=collapse_batch,
-    )
+    unchanged either way). A pyarrow table is one batch for each
+    combiner."""
+    kwargs = {"extra_cols": extra_cols}
+    return map_chunks(recombine_surface_partials, map_chunks(
+        partial_surface_counts, mentions_ds, fn_kwargs=kwargs,
+        batch_size=65536), fn_kwargs=kwargs, batch_size=collapse_batch)
 
 
 def build_mapping_from_partials(partials_ds):
     """Stored surface partials (any number of shards) → mapping Dataset,
     byte-identical to build_mapping over the union of the shards' mentions
     (equivalence-tested): sums are associative and _canonicalize_bucket
-    sees the same per-bucket totals either way. Small partials take the
-    driver-local ``pipelines.phases.mapping`` instead."""
+    sees the same per-bucket totals either way. On a pyarrow table it is
+    one _canonicalize_bucket call over every bucket."""
     return exchange(partials_ds, _canonicalize_bucket, batch_format="pyarrow")
 
 

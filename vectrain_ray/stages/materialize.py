@@ -21,7 +21,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.dedup_exact import exchange
+from ..functions.dedup_exact import exchange, map_chunks
 from .groups import group_lists, group_sums, sorted_groups, unpack
 
 PROV_CAP = 20
@@ -151,15 +151,12 @@ def edges_from_linked(linked_ds, recombine_batch: int | None = 1 << 17):
     bundle serializes the stage (2.07 → 9.7 s) and at 25M it still trails
     131k (16.8 s). The earlier pandas min-k recombiner LOST at every size
     (15.0 → 18.1 s at 25M) because it re-exploded every packed prov list;
-    this one only concatenates packed lists (finalize dedups/caps)."""
-    partials = linked_ds.map_batches(
-        partial_edges, batch_format="pyarrow", batch_size=131072
-    )
+    this one only concatenates packed lists (finalize dedups/caps). A
+    pyarrow table is one batch for each combiner and one bucket."""
+    partials = map_chunks(partial_edges, linked_ds, batch_size=131072)
     if recombine_batch:
-        partials = partials.map_batches(
-            recombine_edge_partials, batch_format="pyarrow",
-            batch_size=recombine_batch,
-        )
+        partials = map_chunks(recombine_edge_partials, partials,
+                              batch_size=recombine_batch)
     return exchange(partials, _finalize_edges_bucket, batch_format="pyarrow")
 
 
@@ -270,13 +267,12 @@ def nodes_with_degree(mapping_ds, degree_partials_ds, single_task: bool = False)
     data. ``single_task=True`` (caller knows both sides are small) replaces
     the bucketed shuffle with repartition(1) + one vectorized merge task —
     the sort-shuffle's fixed cost dwarfs the merge at that size."""
-    left = mapping_ds.map_batches(_mapping_row_for_union, batch_format="pyarrow")
-    right = degree_partials_ds.map_batches(_degree_row_for_union,
-                                           batch_format="pyarrow")
+    left = map_chunks(_mapping_row_for_union, mapping_ds)
+    right = map_chunks(_degree_row_for_union, degree_partials_ds)
+    if isinstance(left, pa.Table):  # in the driver: one merge call
+        return _merge_nodes_bucket(pa.concat_tables([left, right]))
     unioned = left.union(right)
     if single_task:
-        return unioned.repartition(1).map_batches(
-            _merge_nodes_bucket, batch_format="pyarrow", batch_size=None
-        )
+        return map_chunks(_merge_nodes_bucket, unioned.repartition(1))
     return exchange(unioned, _merge_nodes_bucket, ["entity_id"], NUM_BUCKETS,
                     batch_format="pyarrow")
