@@ -1,23 +1,14 @@
-"""Canonicalization: normalization parity, alias clustering, hot-key safety,
-union-find merge."""
+"""Canonicalization: alias clustering, hot-key safety, union-find merge."""
 
 import pyarrow as pa
 import ray.data as rd
 
 from vectrain_ray import rules
 from vectrain_ray.stages.canonicalize import (
-    add_surface_norm,
     build_mapping,
     partial_surface_counts,
 )
 from vectrain_ray.state.unionfind import UnionFind
-
-
-def test_vectorized_norm_matches_rules():
-    surfs = ["Acme, Corp!", "  ALICE   Johnson ", "x", "Ümlaut Straße"]
-    t = pa.table({"surface_form": pa.array(surfs)})
-    got = add_surface_norm(t)["surface_norm"].to_pylist()
-    assert got == [rules.normalize_surface(s) for s in surfs]
 
 
 def _mentions(surfs):

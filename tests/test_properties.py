@@ -3,8 +3,12 @@ arbitrary batching, partitioning and row order. Hypothesis generates random
 transcripts; Ray work stays tiny (pure-function properties are checked
 without Ray where possible)."""
 
+import re
+import zlib
+
+import numpy as np
 import pyarrow as pa
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from vectrain_ray import oracle, rules
@@ -112,6 +116,69 @@ def test_encoder_deterministic_property(texts):
     # permutation-equivariant
     rev = encode_texts(texts[::-1], dim=16)
     np.testing.assert_array_equal(rev[::-1], a)
+
+
+_TOKEN = re.compile(r"[A-Za-z0-9]+")
+
+
+def _scalar_encode(texts: list, dim: int):
+    """The encoder's per-token reference: Python lower(), regex tokens,
+    one zlib.crc32 per token, two probes, L2 rows. The Arrow path must
+    reproduce it bit for bit."""
+    out = np.zeros((len(texts), dim), dtype=np.float32)
+    errs: list = [None] * len(texts)
+    for i, t in enumerate(texts):
+        if t is None or not t.strip():
+            errs[i] = "empty_text"
+            continue
+        for tok in _TOKEN.findall(t.lower()):
+            h = zlib.crc32(tok.encode())
+            out[i, h % dim] += 1.0
+            out[i, (h >> 7) % dim] += 1.0
+    norms = np.linalg.norm(out, axis=1, keepdims=True)
+    np.divide(out, norms, out=out, where=norms > 0)
+    return out, errs
+
+
+# ASCII letters, digits and punctuation beside the characters where Python
+# and Arrow part ways: ASCII control whitespace and Unicode spaces
+# (str.strip removes them), and letters whose Python lowercase is ASCII
+# only there (İ → i̇, K → k) or is not ASCII
+_ENC_CHARS = st.sampled_from(list(
+    "aZ09 !.-_\t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x00\x85\xa0\u2028"
+    "İıßΣKéÅ"))
+_ENC_TEXT = st.one_of(st.none(), st.text(max_size=20),
+                      st.text(_ENC_CHARS, max_size=20))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_ENC_TEXT, max_size=25))
+@example([None, "", " \t", "\x0b\x0c\x1c\x1f", "!!!", "é", "İstanbul",
+          "Acme, Corp.", "\x85x\xa0"])
+def test_encoder_matches_scalar_reference(texts):
+    """Every row the encoder gives, through _encode_texts and through a
+    batch call (fan-out by dictionary code, memo warm on the second call),
+    is byte-equal to the per-token reference, errors included. A text
+    with no [a-z0-9] token ("!!!", "é") is a zero row with no error; only
+    None and blank texts are dead letters."""
+    from vectrain_ray.stages.encode import HashingEncoder
+
+    want, want_errs = _scalar_encode(texts, 32)
+    enc = HashingEncoder(dim=32)
+    mat, errs = enc._encode_texts(texts)
+    assert mat.tobytes() == want.tobytes() and errs == want_errs
+    batch = pa.table({"surface_form": pa.array(texts + texts[::2],
+                                                pa.string())})
+    for _ in range(2):
+        out = enc(batch)
+        got = np.asarray(out["embedding"].combine_chunks().flatten(),
+                         np.float32).reshape(-1, 32)
+        assert got.tobytes() == np.concatenate([want, want[::2]]).tobytes()
+        assert out["encode_err"].to_pylist() == want_errs + want_errs[::2]
+    for t, row, err in zip(texts, mat, errs):
+        no_token = t is None or not _TOKEN.search(t.lower())
+        assert (err is not None) == (t is None or not t.strip())
+        assert (not row.any()) == no_token
 
 
 @given(st.integers(1, 200), st.integers(1, 12))

@@ -5,6 +5,7 @@ covers value parity; these pin path equivalence and edge semantics."""
 from __future__ import annotations
 
 import os
+import zlib
 
 import numpy as np
 import pandas as pd
@@ -53,6 +54,9 @@ def test_crc_bucket_array_matches_scalar():
             "x" * 4097] + [f"key-{i}" for i in range(500)]
     arr = pa.chunked_array([pa.array(vals[:4], pa.string()),
                             pa.array(vals[4:], pa.string())])
+    crc = rules.crc32_array(arr)
+    assert crc.dtype == np.uint32
+    assert crc.tolist() == [zlib.crc32((v or "").encode()) for v in vals]
     for n in (3, 8, 64):
         got = rules.crc_bucket_array(arr, n)
         want = np.array([rules.crc_bucket(v or "", n) for v in vals],

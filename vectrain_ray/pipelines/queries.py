@@ -1097,23 +1097,21 @@ def q_cluster_purity(sf_dir: str):
             "top_label": pa.array([], pa.int64()),
             "n_top": pa.array([], pa.int64()),
             "purity": pa.array([], pa.float64())}))
-    c_ref = ray.put((C, c_zero))
 
-    class AssignCount:
-        def __init__(self):
-            self.C, self.c_zero = ray.get(c_ref)
+    def assign_count(t: pa.Table, C, c_zero) -> pa.Table:
+        X = _to_matrix(t["embedding"], dim=C.shape[1])
+        g = pa.table({
+            "cluster": pa.array(_assign_clusters(X, C, c_zero), pa.int64()),
+            "label": pc.cast(t["label"], pa.int64()),
+        }).group_by(["cluster", "label"]).aggregate([([], "count_all")])
+        return g.rename_columns(["cluster", "label", "p_cnt"])
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            X = _to_matrix(t["embedding"], dim=self.C.shape[1])
-            cluster = _assign_clusters(X, self.C, self.c_zero)
-            g = pa.table({
-                "cluster": pa.array(cluster, pa.int64()),
-                "label": pc.cast(t["label"], pa.int64()),
-            }).group_by(["cluster", "label"]).aggregate([([], "count_all")])
-            return g.rename_columns(["cluster", "label", "p_cnt"])
-
-    partials = ds.map_batches(AssignCount, batch_format="pyarrow",
-                              batch_size=4096, concurrency=(1, 2))
+    # plain tasks with the matrix in fn_kwargs: an actor pool whose
+    # constructor reads an object-store ref is the restart-deadlock shape
+    # phases.link documents (ray#53727)
+    partials = ds.map_batches(assign_count, batch_format="pyarrow",
+                              batch_size=4096,
+                              fn_kwargs={"C": C, "c_zero": c_zero})
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         # merge the per-batch partials and pick the majority label in one

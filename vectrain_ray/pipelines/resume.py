@@ -261,6 +261,9 @@ def run_kg_resumable(
     # below 16 CPUs concurrent executions starve each other's map and write
     # tasks (measured), so only larger sessions overlap the Ray path's sinks
     overlap = cpus >= 16
+    # run_kg's rule: with one CPU, K link shard actors of 0.1 CPU each
+    # leave no whole slot for the link tasks that call them
+    starved = cpus < 2
     os.makedirs(out_dir, exist_ok=True)
     man1 = PartitionManifest(os.path.join(out_dir, "p1_extract"))
     man_m = PartitionManifest(os.path.join(out_dir, "p2_mentions"))
@@ -507,7 +510,7 @@ def run_kg_resumable(
                    else MAPPING_SCHEMA.empty_table())
     linker_cls, linker_kwargs, shard_actors = phases.linker(
         mapping, link_shards, index_dir, dim, fuzzy_threshold, link_ann,
-        link_ann_cells, link_ann_probe)
+        link_ann_cells, link_ann_probe, starved=starved)
     if link_shards and mapping is not None:
         open(shards_marker, "w").write(want)
 

@@ -100,7 +100,7 @@ def crc_bucket(s: str, n: int) -> int:
     return zlib.crc32(s.encode()) % n
 
 
-# --- vectorized crc_bucket (the hot-path variant) ---------------------------
+# --- vectorized crc32 (the hot-path variant) -------------------------------
 _CRC32_TABLE = None
 
 
@@ -119,13 +119,15 @@ def _crc32_table():
     return _CRC32_TABLE
 
 
-def crc_bucket_array(arr, n: int):
-    """``crc_bucket`` over an Arrow string array/chunked-array → int32
-    numpy array (nulls bucket as ""). Table-driven CRC-32 with the byte
-    loop over MAX string length only — all rows advance together in numpy,
-    so a batch of short keys (conv ids, surface norms) costs a handful of
-    vector ops instead of one ``zlib.crc32`` call per row. Bit-identical to
-    the scalar path (tests/test_functions.py asserts it)."""
+def crc32_array(arr):
+    """``zlib.crc32`` of each string's UTF-8 bytes over an Arrow string
+    array/chunked-array → uint32 numpy array (nulls hash as ""). Table-driven
+    CRC-32 in numpy: rows are sorted longest first, so at byte position j
+    the rows still running are a prefix of that order and advance together
+    in one vector op. Memory is O(rows + bytes) whatever the longest string,
+    and a batch of short keys (conv ids, norms, tokens) costs a handful of
+    vector ops per byte position instead of one ``zlib.crc32`` call per
+    row."""
     import numpy as np
     import pyarrow as _pa
     import pyarrow.compute as _pc
@@ -134,32 +136,39 @@ def crc_bucket_array(arr, n: int):
     if isinstance(a, _pa.ChunkedArray):
         a = a.combine_chunks()
     m = len(a)
-    if m == 0:
-        return np.empty(0, np.int32)
-    bufs = a.buffers()
-    odt = np.int64 if _pa.types.is_large_string(a.type) else np.int32
-    offsets = np.frombuffer(bufs[1], odt, count=m + 1 + a.offset)
-    offsets = offsets[a.offset:]
-    data = np.frombuffer(bufs[2], np.uint8)
-    lens = (offsets[1:] - offsets[:-1]).astype(np.int64)
-    maxlen = int(lens.max()) if m else 0
-    if maxlen > 4096:  # pathological keys: cap the padded matrix
-        return np.array([crc_bucket(s or "", n) for s in a.to_pylist()],
-                        np.int32)
     crc = np.full(m, 0xFFFFFFFF, np.uint32)
-    if maxlen:
-        col = np.arange(maxlen, dtype=np.int64)
-        idx = offsets[:-1, None].astype(np.int64) + col[None, :]
-        mask = col[None, :] < lens[:, None]
-        mat = np.zeros((m, maxlen), np.uint8)
-        mat[mask] = data[idx[mask]]
-        tab = _crc32_table()
-        for j in range(maxlen):
-            act = mask[:, j]
-            c = crc[act]
-            crc[act] = (c >> np.uint32(8)) ^ tab[(c ^ mat[act, j]) & 0xFF]
+    if m:
+        bufs = a.buffers()
+        odt = np.int64 if _pa.types.is_large_string(a.type) else np.int32
+        offsets = np.frombuffer(bufs[1], odt, count=m + 1 + a.offset)
+        offsets = offsets[a.offset:].astype(np.int64)
+        lens = offsets[1:] - offsets[:-1]
+        maxlen = int(lens.max())
+        if maxlen:
+            data = np.frombuffer(bufs[2], np.uint8)
+            order = np.argsort(-lens, kind="stable")
+            pos = offsets[:-1][order]
+            # running[j]: how many rows are longer than j bytes
+            running = m - np.cumsum(np.bincount(lens, minlength=maxlen))
+            c = crc[order]
+            tab = _crc32_table()
+            for j in range(maxlen):
+                k = running[j]
+                ck = c[:k]
+                c[:k] = (ck >> np.uint32(8)) ^ tab[(ck ^ data[pos[:k] + j])
+                                                   & np.uint32(0xFF)]
+            crc[order] = c
     crc ^= np.uint32(0xFFFFFFFF)
-    return (crc % np.uint32(n)).astype(np.int32)
+    return crc
+
+
+def crc_bucket_array(arr, n: int):
+    """``crc_bucket`` over an Arrow string array/chunked-array → int32
+    numpy array (nulls bucket as ""); bit-identical to the scalar path
+    (tests/test_round5_ops.py asserts it)."""
+    import numpy as np
+
+    return (crc32_array(arr) % np.uint32(n)).astype(np.int32)
 
 
 def extract_mentions(sentence: str):

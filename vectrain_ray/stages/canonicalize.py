@@ -41,22 +41,6 @@ from .groups import group_lists, group_sums, sorted_groups
 NUM_BUCKETS = 64
 
 
-def add_surface_norm(batch: pa.Table, col: str = "surface_form",
-                     out: str = "surface_norm") -> pa.Table:
-    """Vectorized mirror of rules.normalize_surface (RE2 kernels).
-    \\p{L}\\p{N}_ mirrors Python's Unicode \\w, and the whitespace class
-    must be [\\s\\p{Z}\\x1c-\\x1f] — RE2's \\s is ASCII-only, so a bare \\s
-    would DELETE U+00A0-style Unicode spaces via the keep-class (giving
-    'acme\\u00a0corp' → 'acmecorp' ≠ the Python path's 'acme corp' and thus
-    a different entity_id)."""
-    ws = r"\s\p{Z}\x1c-\x1f"  # Python str \s-equivalents under RE2
-    x = pc.utf8_lower(pc.fill_null(batch[col], ""))
-    x = pc.replace_substring_regex(x, rf"[^\p{{L}}\p{{N}}_{ws}]", "")
-    x = pc.replace_substring_regex(x, rf"[{ws}]+", " ")
-    x = pc.utf8_trim_whitespace(x)
-    return batch.append_column(out, x)
-
-
 # per-worker-process memo: surface_form → (surface_norm, merge_key).
 # Surfaces are Zipf-heavy, so normalizing DISTINCT forms (after the count
 # aggregate) with a warm memo collapses the combiner's regex + merge-key

@@ -17,17 +17,18 @@ an embedding; ``Vector`` xor ``Err`` exactly as pipeline.go:259-264, but
 filterable before any sink.
 
 The encoder itself is a deterministic feature-hashing projection (no model
-downloads in this sandbox): token → crc32 → (dim index, sign), L2-normalized.
+downloads in this sandbox): each lowercased ``[a-z0-9]+`` token's crc32 ``h``
+adds 1 at dims ``h % dim`` and ``(h >> 7) % dim``; rows are L2-normalized.
 A real model swaps in by replacing ``_encode_texts`` only.
 """
 
 from __future__ import annotations
 
-import re
-import zlib
-
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+
+from .. import rules
 
 
 class HashingEncoder:
@@ -38,7 +39,6 @@ class HashingEncoder:
         self.dim = dim
         self.text_col = text_col
         self.out_col = out_col
-        self.token_re = re.compile(r"[A-Za-z0-9]+")  # compiled once per actor
         # surface → (vector, err) memo: mention surfaces are Zipf-heavy, so
         # each actor encodes a hot surface ONCE, not once per occurrence
         # (measured 3–4× on the full-KG encode branch). Bounded: beyond
@@ -49,29 +49,39 @@ class HashingEncoder:
     def _encode_texts(self, texts: list) -> tuple[np.ndarray, list]:
         """texts → (n×dim float32 L2-normalized matrix, err list).
 
-        Deterministic across processes: zlib.crc32 (not Python ``hash``,
-        which is salted per process)."""
-        n = len(texts)
-        out = np.zeros((n, self.dim), dtype=np.float32)
-        errs: list = [None] * n
-        for i, t in enumerate(texts):
-            if t is None or not t.strip():
-                errs[i] = "empty_text"
-                continue
-            for tok in self.token_re.findall(t.lower()):
-                h = zlib.crc32(tok.encode())
-                # unsigned accumulation: a tokenized text can never produce a
-                # zero vector, so Vector xor Err holds structurally
-                out[i, h % self.dim] += 1.0
-                out[i, (h >> 7) % self.dim] += 1.0  # second probe: more spread
+        Deterministic across processes: crc32 (not Python ``hash``, which
+        is salted per process). Python lowercases each text (``İ`` → ``i``
+        + U+0307, ``K`` → ``k``), so no A-Z is left and Arrow's split on
+        ``[^a-z0-9]+`` yields the ``[A-Za-z0-9]+`` tokens of the lowered
+        text; all tokens of the batch are hashed in one
+        ``rules.crc32_array`` call."""
+        n, d = len(texts), self.dim
+        out = np.zeros((n, d), dtype=np.float32)
+        errs = [None if t is not None and t.strip() else "empty_text"
+                for t in texts]
+        low = pa.array([t.lower() if e is None else None
+                        for t, e in zip(texts, errs)], pa.string())
+        toks = pc.split_pattern_regex(low, "[^a-z0-9]+")
+        flat = pc.list_flatten(toks)
+        keep = pc.greater(pc.binary_length(flat), 0)
+        row = pc.list_parent_indices(toks).filter(keep).to_numpy()
+        h = rules.crc32_array(flat.filter(keep))
+        np.add.at(out, (row, h % d), 1.0)
+        np.add.at(out, (row, (h >> 7) % d), 1.0)  # second probe: more spread
+        # a text with no [a-z0-9] token ("!!!", "é") keeps a zero row and
+        # err None: only None and blank texts are dead letters
         norms = np.linalg.norm(out, axis=1, keepdims=True)
         np.divide(out, norms, out=out, where=norms > 0)
         return out, errs
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch[self.text_col].to_pylist()
+        # encode each DISTINCT surface once, then fan the distinct rows
+        # back out to the batch by dictionary index
+        codes = pc.dictionary_encode(batch[self.text_col].combine_chunks(),
+                                     null_encoding="encode")
+        uniq = codes.dictionary.to_pylist()
         memo = self._memo
-        missing = [t for t in dict.fromkeys(texts) if t not in memo]
+        missing = [t for t in uniq if t not in memo]
         fresh: dict = {}
         if missing:
             mat_m, errs_m = self._encode_texts(missing)
@@ -83,19 +93,21 @@ class HashingEncoder:
                 # deterministic → safe to cache.
                 memo.update({t: v for t, v in fresh.items()
                              if v[1] is None or v[1] == "empty_text"})
-        mat = np.empty((len(texts), self.dim), dtype=np.float32)
-        errs: list = [None] * len(texts)
-        for i, t in enumerate(texts):
+        vecs = np.empty((len(uniq), self.dim), dtype=np.float32)
+        errs: list = [None] * len(uniq)
+        for j, t in enumerate(uniq):
             hit = memo.get(t)
             if hit is None:
                 hit = fresh[t]
-            mat[i] = hit[0]
-            errs[i] = hit[1]
+            vecs[j] = hit[0]
+            errs[j] = hit[1]
+        mat = vecs[codes.indices.to_numpy()]
         emb = pa.FixedSizeListArray.from_arrays(
             pa.array(mat.reshape(-1), type=pa.float32()), self.dim
         )
         batch = batch.append_column(self.out_col, emb)
-        batch = batch.append_column("encode_err", pa.array(errs, pa.string()))
+        batch = batch.append_column(
+            "encode_err", pa.array(errs, pa.string()).take(codes.indices))
         return batch
 
 

@@ -468,9 +468,10 @@ class ShardedEntityLinker:
                 out[s] = self._memo[s]
         if todo:
             per_shard: dict[int, list] = {}
-            for s, norm in todo:
-                per_shard.setdefault(rules.crc_bucket(norm, self.num_shards),
-                                     []).append((s, norm))
+            shard_of = rules.crc_bucket_array(
+                pa.array([n for _, n in todo], pa.string()), self.num_shards)
+            for item, sh in zip(todo, shard_of.tolist()):
+                per_shard.setdefault(sh, []).append(item)
             futs = {
                 sh: self.shards[sh].lookup.remote([n for _, n in items])
                 for sh, items in per_shard.items()
