@@ -121,3 +121,24 @@ def test_json_source_kind_dispatches_reader(tmp_path):
         e = rd.read_parquet(out + "/edges").to_pandas().astype(str)
         outs[kind] = e.sort_values(list(e.columns)).reset_index(drop=True)
     pd.testing.assert_frame_equal(outs["json"], outs["parquet"])
+
+
+@pytest.mark.parametrize("sub", ["encoder", "linker"])
+def test_resumable_and_stream_specs_reject_pool_sizes(sub, tmp_path):
+    """Neither run_kg_resumable nor StreamDriver takes a pool size: a
+    resumable or stream spec that sets one must fail, not drop it."""
+    from vectrain_ray.config import (resume_kwargs_from_spec,
+                                     stream_driver_from_spec)
+
+    def spec(concurrency):
+        return PipelineSpec.from_dict({
+            "source": {"path": str(tmp_path / "in")},
+            sub: {"concurrency": concurrency},
+            "sink": {"out_dir": str(tmp_path / "out")}})
+
+    with pytest.raises(ValueError, match=f"{sub}.concurrency"):
+        resume_kwargs_from_spec(spec(2))
+    with pytest.raises(ValueError, match=f"{sub}.concurrency"):
+        stream_driver_from_spec(spec(2))
+    # the default is what the runners do anyway
+    assert resume_kwargs_from_spec(spec(4))["dim"] == 64

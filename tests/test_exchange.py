@@ -1,5 +1,6 @@
 """``functions.dedup_exact.exchange`` — the engine's one bucket exchange
-(combiner output → bucket → one finisher call per bucket)."""
+(combiner output → bucket → sort → one finisher call per sorted block,
+each call holding one or more whole buckets)."""
 
 from __future__ import annotations
 
@@ -12,7 +13,8 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
-from vectrain_ray.functions.dedup_exact import exchange, key_buckets
+from vectrain_ray.functions.dedup_exact import (dedup_exact, dedup_table,
+                                                exchange, key_buckets)
 
 PKG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "vectrain_ray")
@@ -84,22 +86,68 @@ def test_bucket_column_mode_equals_old_chain(fmt):
     assert _rows(exchange(ds, fn, batch_format=fmt)) == _rows(old)
 
 
-def test_every_key_reaches_exactly_one_call():
-    t = _events()
+def _blocks(t: pa.Table, n: int = 8):
+    """``t`` as a Dataset of ``n`` input blocks, so the exchange's sort
+    partitions it into several sorted blocks."""
+    step = -(-t.num_rows // n)
+    return rd.from_arrow([t.slice(i, step)
+                          for i in range(0, t.num_rows, step)])
 
+
+def _with_bucket(bucket_of) -> pa.Table:
+    t = _events()
+    return t.append_column("bucket", pa.array(bucket_of(t), pa.int32()))
+
+
+def _tag_calls(key: str):
+    """Finisher: per-``key`` row counts tagged with an id unique to the
+    call, so the output shows which keys shared a call."""
     def per_key(g: pd.DataFrame) -> pd.DataFrame:
-        c = g.groupby("user_id").size().rename("n").reset_index()
-        c["call"] = int(g["bucket"].iloc[0])
+        import uuid
+
+        c = g.groupby(key).size().rename("n").reset_index()
+        c["call"] = uuid.uuid4().hex
         return c
 
-    out = exchange(rd.from_arrow(t).repartition(8), per_key,
-                   ["user_id"], 16).to_pandas()
+    return per_key
+
+
+def test_every_key_reaches_exactly_one_call():
+    t = _with_bucket(lambda t: key_buckets(
+        t.select(["user_id"]).to_pandas(), ["user_id"], 16).to_numpy())
+    out = exchange(_blocks(t), _tag_calls("user_id")).to_pandas()
     # a key split over two calls would show up as two rows
     assert out["user_id"].is_unique
     want = pd.Series(t["user_id"].to_numpy()).value_counts()
     got = out.set_index("user_id")["n"]
     assert got.sort_index().tolist() == want.sort_index().tolist()
     assert out["call"].nunique() > 1  # the keys really spread over calls
+
+
+@pytest.mark.parametrize("fmt", ["pandas", "pyarrow"])
+def test_no_bucket_is_split_across_calls(fmt):
+    # range buckets, as q_pack_sequences uses: a finisher may rely on
+    # holding every row of each bucket it sees
+    t = _with_bucket(lambda t: t["user_id"].to_numpy() // 20)
+    per_bucket = _tag_calls("bucket")
+    fn = per_bucket if fmt == "pandas" else (
+        lambda b: per_bucket(b.to_pandas()))
+    out = exchange(_blocks(t), fn, batch_format=fmt).to_pandas()
+    assert out["bucket"].is_unique
+    want = pd.Series(t["bucket"].to_numpy()).value_counts()
+    got = out.set_index("bucket")["n"]
+    assert got.sort_index().tolist() == want.sort_index().tolist()
+    calls = out.groupby("call").size()
+    assert len(calls) > 1 and calls.max() > 1  # several calls, whole buckets
+
+
+def test_dedup_exact_on_blocks_equals_dedup_table():
+    t = _events().append_column("row", pa.array(np.arange(len(_events()))))
+    keys, order = ["user_id", "kind"], ["v", "row"]  # "row": no ties
+    got = dedup_exact(_blocks(t), keys, sort_within=order, pre_batch=700)
+    want = rd.from_arrow(dedup_table(t, keys, sort_within=order))
+    assert got.schema().names == t.schema.names
+    assert _rows(got) == _rows(want)
 
 
 def test_keys_mode_replaces_a_stale_bucket_column():
@@ -127,16 +175,16 @@ def test_empty_input_keeps_typed_schema():
 
 
 def test_no_hand_rolled_bucket_exchange():
-    """Every bucket-keyed map_groups goes through ``exchange``; only
-    ``dedup_exact`` keeps its own, on a private bucket column."""
+    """Every bucket exchange goes through ``exchange`` (or ``dedup_exact``)
+    and makes one call per sorted block: no module, ``dedup_exact.py``
+    included, splits a block per bucket with ``map_groups``."""
     call = re.compile(r"\.groupby\(\s*([^()]*?)\s*\)\s*\.map_groups\(")
     bad = []
     for root, _, files in os.walk(PKG):
         for f in files:
-            path = os.path.join(root, f)
-            if not f.endswith(".py") or path.endswith(
-                    os.path.join("functions", "dedup_exact.py")):
+            if not f.endswith(".py"):
                 continue
+            path = os.path.join(root, f)
             src = open(path, encoding="utf-8").read()
             for m in call.finditer(src):
                 key = m.group(1).strip("\"'").lower()
@@ -144,4 +192,4 @@ def test_no_hand_rolled_bucket_exchange():
                     line = src.count("\n", 0, m.start()) + 1
                     bad.append(f"{os.path.relpath(path, PKG)}:{line} "
                                f"groupby({m.group(1)})")
-    assert not bad, "hand-rolled bucket exchanges: " + ", ".join(bad)
+    assert not bad, "map_groups over a bucket: " + ", ".join(bad)

@@ -148,6 +148,31 @@ def test_neardup_pairs_cosine(emb_ds):
     assert [(r["id_a"], r["id_b"]) for r in pairs] == [(3, 7)]
 
 
+def test_neardup_pairs_cosine_pairs_only_within_an_lsh_bucket():
+    """One input block holds many LSH buckets, so the exchange hands one
+    finisher call several of them: pairs must still come from within one
+    bucket, as a brute-force pass per bucket finds them."""
+    from vectrain_ray.functions.similarity import LSHBucketer
+
+    rng = np.random.default_rng(5)
+    base = rng.standard_normal((30, 16))
+    mat = np.repeat(base, 4, axis=0) + 0.08 * rng.standard_normal((120, 16))
+    t = pa.table({"vec_id": pa.array(np.arange(120), pa.int64()),
+                  "embedding": pa.array(list(mat.astype(np.float32)),
+                                        pa.list_(pa.float32()))})
+    got = {(r["id_a"], r["id_b"]) for r in neardup_pairs_cosine(
+        rd.from_arrow(t), dim=16, threshold=0.95).take_all()}
+
+    bucket = LSHBucketer(dim=16)(t)["bucket"].to_numpy()
+    unit = mat.astype(np.float32).astype(np.float64)
+    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    close = {(i, j) for i, j in zip(*np.where(np.triu(
+        unit @ unit.T >= 0.95, k=1)))}
+    want = {(i, j) for i, j in close if bucket[i] == bucket[j]}
+    assert len(set(bucket)) > 10 and want != close  # buckets do split pairs
+    assert got == want
+
+
 def test_ivf_recall_on_probed_cells(emb_ds):
     ds, mat = emb_ds
     cents_ref = ray.put(train_centroids(mat, n_centroids=8))

@@ -183,7 +183,15 @@ def resume_kwargs_from_spec(spec: PipelineSpec) -> dict:
     """Keyword args for run_kg_resumable / StreamDriver derived from a
     validated spec — ONE derivation shared by every call site (run_from_spec,
     the stream CLI, the control plane), so a new spec field cannot silently
-    miss one of them (the parsed-but-unused trap)."""
+    miss one of them (the parsed-but-unused trap). Neither runner takes a
+    pool size, so a non-default ``encoder.concurrency`` or
+    ``linker.concurrency`` raises instead of being dropped."""
+    for name, sub, klass in (("encoder", spec.encoder, EncoderSpec),
+                             ("linker", spec.linker, LinkerSpec)):
+        if sub.concurrency != klass.concurrency:
+            raise ValueError(
+                f"{name}.concurrency is not honoured by the resumable and "
+                f"stream runners; remove it or set resumable: false")
     return dict(
         source_kind=spec.source.kind,
         dim=spec.encoder.dim,

@@ -5,15 +5,19 @@ re-run: fresh uuid per written point, qdrant/store.go:32 + TODO store.go:45).
 Pattern: (1) per-batch combiner — pandas ``drop_duplicates`` inside each
 batch removes same-block duplicates at C speed; (2) hash-BUCKET the key into
 ``num_buckets`` coarse partitions (vectorized ``pd.util.hash_pandas_object``
-— deterministic across processes, no per-row Python) and dedup each bucket
-with one more vectorized ``drop_duplicates``. Never
+— deterministic across processes, no per-row Python), sort on the bucket
+and dedup each sorted block — whole buckets, so whole keys — with one more
+vectorized ``drop_duplicates``. Never
 ``groupby(unique_key).map_groups`` — that is one Python call per ROW and was
 measured 100×+ slower.
 
 ``exchange`` is that bucket-then-vectorize step on its own — every bucket
 exchange in the engine goes through it. ``dedup_exact`` keeps a private
 bucket column, because its input is caller data that may already carry a
-``bucket`` column.
+``bucket`` column. Both make one finisher call per sorted block, which
+holds one or more whole buckets: ``groupby(bucket).map_groups`` sorts the
+same way but then splits each block per bucket, paying a Python call and
+two pandas/Arrow conversions per bucket.
 
 ``exchange``, ``map_chunks`` (its map-side counterpart) and ``dedup_exact``
 take a pyarrow table too, and run on it in the driver, with no Ray Data.
@@ -66,17 +70,20 @@ def map_chunks(fn, data, chunk: int | None = None,
 
 
 def exchange(ds, finish, keys=None, n: int = 64, batch_format: str = "pandas"):
-    """The engine's one all-to-all step: ``groupby("bucket").map_groups(
-    finish)`` — one ``finish`` call per coarse bucket, never one per key, so
-    every row of a key reaches exactly one call. With ``keys`` each Arrow
+    """The engine's one all-to-all step: sort on ``bucket``, then one
+    ``finish`` call per sorted block. A sorted block holds every row of
+    each bucket in it, so every row of a key reaches exactly one call;
+    a call may hold several buckets, so every finisher groups by its key
+    itself (and by ``bucket`` where the bucket means something of its
+    own, such as an LSH bucket or a range). With ``keys`` each Arrow
     batch gets ``bucket = key_buckets(keys, n)``, hashing only the key
     columns (the batch itself is never converted to pandas); without, the
     input's own ``bucket`` column is used — a combiner that already
     computed it, or a semantic bucket such as a range.
 
-    A pyarrow table is one bucket holding every key: ``finish`` is called
-    once, in the driver, which is exact because every finisher groups by
-    its key itself."""
+    A pyarrow table is one block holding every bucket: ``finish`` is
+    called once, in the driver. Either way a pandas result leaves as
+    metadata-free Arrow."""
     if keys is not None:
         keys = list(keys)
 
@@ -88,10 +95,15 @@ def exchange(ds, finish, keys=None, n: int = 64, batch_format: str = "pandas"):
                     else t.append_column("bucket", b))
 
         ds = map_chunks(add_bucket, ds, batch_size=65536)
-    if isinstance(ds, pa.Table):
-        out = finish(ds.to_pandas() if batch_format == "pandas" else ds)
+
+    def run(batch) -> pa.Table:
+        out = finish(batch)
         return out if isinstance(out, pa.Table) else _to_arrow_stripped(out)
-    return ds.groupby("bucket").map_groups(finish, batch_format=batch_format)
+
+    if isinstance(ds, pa.Table):
+        return run(ds.to_pandas() if batch_format == "pandas" else ds)
+    return ds.sort("bucket").map_batches(run, batch_format=batch_format,
+                                         batch_size=None)
 
 
 def _first_per_key(df: pd.DataFrame, order: list[str],
@@ -117,7 +129,7 @@ def dedup_exact(ds, key_cols, sort_within: list[str] | None = None,
     sorting the bucket by ``sort_within + key_cols`` (default: the key).
 
     ``pre_batch``: combiner batch size. It also bounds DOWNSTREAM
-    parallelism: the groupby's sort partitions track the combiner's output
+    parallelism: the bucket sort's partitions track the combiner's output
     block count, and Ray fuses whatever map stages follow into the
     post-sort operator — a small input that collapses to one combiner
     block therefore runs the entire downstream chain as ONE task. Callers
@@ -141,7 +153,10 @@ def dedup_exact(ds, key_cols, sort_within: list[str] | None = None,
         return _to_arrow_stripped(g.drop(columns=[_BUCKET]))
 
     pre_ds = ds.map_batches(pre, batch_format="pandas", batch_size=pre_batch)
-    return pre_ds.groupby(_BUCKET).map_groups(bucket_dedup, batch_format="pandas")
+    # a sorted block holds whole buckets, and a key lives in one bucket
+    return pre_ds.sort(_BUCKET).map_batches(bucket_dedup,
+                                            batch_format="pandas",
+                                            batch_size=None)
 
 
 def dedup_exact_local(ds, key_cols, sort_within: list[str] | None = None):

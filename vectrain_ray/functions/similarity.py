@@ -139,9 +139,9 @@ def neardup_pairs_cosine(ds, dim: int, threshold: float = 0.95,
                          n_planes: int = 12, max_bucket: int = 2000,
                          concurrency: int = 2):
     """Embedding-cosine near-duplicate pairs without an all-pairs pass:
-    LSH-bucket → groupby(bucket) → exact cosine within bucket (≤ max_bucket
-    rows; larger buckets are truncated deterministically and logged via a
-    'truncated' marker column so silent caps are visible)."""
+    LSH-bucket → exchange on the bucket → exact cosine within each bucket
+    (≤ max_bucket rows; larger buckets are truncated deterministically and
+    logged via a 'truncated' marker column so silent caps are visible)."""
     import pandas as pd
 
     bucketed = ds.map_batches(
@@ -154,24 +154,24 @@ def neardup_pairs_cosine(ds, dim: int, threshold: float = 0.95,
     )
 
     def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(id_col, kind="stable")
-        truncated = len(g) > max_bucket
-        if truncated:
-            g = g.head(max_bucket)
-        mat = np.asarray(list(g[vec_col]), dtype=np.float64)
-        norms = np.linalg.norm(mat, axis=1)
-        norms[norms == 0] = 1e-30
-        sims = (mat / norms[:, None]) @ (mat / norms[:, None]).T
-        ids = list(g[id_col])
-        ii, jj = np.where(np.triu(sims >= threshold, k=1))
-        return pd.DataFrame(
-            {
-                "id_a": [ids[i] for i in ii],
-                "id_b": [ids[j] for j in jj],
-                "score": [round(float(sims[i, j]), 4) for i, j in zip(ii, jj)],
-                "truncated": [truncated] * len(ii),
-            }
-        )
+        # one call may hold several LSH buckets: pair vectors only within
+        # each bucket, never across two
+        rows = []
+        for _, b in g.groupby("bucket", sort=False):
+            b = b.sort_values(id_col, kind="stable")
+            truncated = len(b) > max_bucket
+            if truncated:
+                b = b.head(max_bucket)
+            mat = np.asarray(list(b[vec_col]), dtype=np.float64)
+            norms = np.linalg.norm(mat, axis=1)
+            norms[norms == 0] = 1e-30
+            sims = (mat / norms[:, None]) @ (mat / norms[:, None]).T
+            ids = list(b[id_col])
+            ii, jj = np.where(np.triu(sims >= threshold, k=1))
+            rows += [(ids[i], ids[j], round(float(sims[i, j]), 4), truncated)
+                     for i, j in zip(ii, jj)]
+        return pd.DataFrame(rows, columns=["id_a", "id_b", "score",
+                                           "truncated"])
 
     return exchange(bucketed, pairs_in_bucket)
 

@@ -9,7 +9,8 @@ identically on both sides).
 High-cardinality keys never reach ``groupby(key).map_groups`` (one Python
 call per key): the entries bucket-then-vectorize through
 ``functions.dedup_exact.exchange`` — a per-batch combiner, the key hashed
-into coarse buckets, then one vectorized finisher call per bucket.
+into coarse buckets, then one vectorized finisher call per sorted block
+of whole buckets.
 
 Reference parity notes: q_filter_project/T2 mirrors the empty-text admission
 rule (http/client.go:90-97); q_id_backfill/T3 the ID:=UUID backfill
@@ -1054,23 +1055,17 @@ def q_kmeans_assign(sf_dir: str):
         return rd.from_arrow(pa.table({
             "vec_id": pa.array([], pa.int64()),
             "cluster": pa.array([], pa.int64())}))
-    c_ref = ray.put((C, c_zero))
 
-    class Assign:
-        def __init__(self):
-            # once per actor, not per batch
-            self.C, self.c_zero = ray.get(c_ref)
+    def assign(t: pa.Table, C, c_zero) -> pa.Table:
+        X = _to_matrix(t["embedding"], dim=C.shape[1])
+        return pa.table({
+            "vec_id": t["vec_id"],
+            "cluster": pa.array(_assign_clusters(X, C, c_zero), pa.int64()),
+        })
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            X = _to_matrix(t["embedding"], dim=self.C.shape[1])
-            cluster = _assign_clusters(X, self.C, self.c_zero)
-            return pa.table({
-                "vec_id": t["vec_id"],
-                "cluster": pa.array(cluster, pa.int64()),
-            })
-
-    return ds.map_batches(Assign, batch_format="pyarrow", batch_size=4096,
-                          concurrency=(1, 2))
+    # plain tasks with the matrix in fn_kwargs, as in q_cluster_purity
+    return ds.map_batches(assign, batch_format="pyarrow", batch_size=4096,
+                          fn_kwargs={"C": C, "c_zero": c_zero})
 
 
 def q_cluster_purity(sf_dir: str):
@@ -1762,7 +1757,7 @@ def q_length_quantiles(sf_dir: str):
     (source, n_tok) count partials — the exchange moves distinct
     (source, length) pairs (bounded: lengths are bounded, sources are
     few), never documents; selection is a vectorized cumsum+searchsorted
-    per source inside one bucketed map_groups. Zero-token docs (empty
+    per source inside one bucketed exchange. Zero-token docs (empty
     text) count at length 0, mirroring the oracle's filtered split."""
     ds = _read(sf_dir, "documents", ["source", "text"])
 
@@ -2686,7 +2681,7 @@ def q_cooccurrence(sf_dir: str):
     a fixed ≤64·100-row sort/limit finishes. The first draft's
     groupby(pair).aggregate(Sum) took 346 s on 116k distinct pairs at
     sf0.01 — Ray's multi-key aggregate pays per-group Python cost, so
-    high-cardinality aggregation MUST go through bucketed map_groups."""
+    high-cardinality aggregation MUST go through the bucketed exchange."""
     ds = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
 
     def pairs_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -4625,9 +4620,13 @@ def q_pack_sequences(sf_dir: str):
         acc += int(r["tok"])
 
     def pack_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        # one call may hold several range buckets: each row starts from
+        # its own bucket's offset and sums only within that bucket
         g = g.sort_values("doc_id", kind="stable")
         n = g["n_tokens"].to_numpy()
-        before = offsets[int(g["bucket"].iloc[0])] + np.cumsum(n) - n
+        within = g.groupby("bucket", sort=False)["n_tokens"].cumsum()
+        before = (g["bucket"].map(offsets).to_numpy()
+                  + within.to_numpy() - n)
         return pd.DataFrame({"doc_id": g["doc_id"].to_numpy(),
                              "n_tokens": n.astype("int64"),
                              "seq_id": (before // PACK_BUDGET).astype(
@@ -5100,7 +5099,7 @@ def q_winsorize_by_group(sf_dir: str):
     Scale path: pass 1 is the length_quantiles value-count combiner —
     the corpus collapses to distinct (source, n_chars) pairs (domain-
     bounded), the CDF walk runs on ≤ that many rows driver-side and the
-    per-source (lo, hi) thresholds broadcast via ray.put; pass 2 is ONE
+    per-source (lo, hi) thresholds ship in fn_kwargs; pass 2 is ONE
     zero-shuffle streaming pass with a vectorized per-batch clip.
     Parity: thresholds use length_quantiles' pure-integer rank rule
     k_p = (n·p + 99)//100 and the clip is min/max over integers — no
@@ -5141,27 +5140,23 @@ def q_winsorize_by_group(sf_dir: str):
             "n_chars"].min()
         rows.append(hit.rename(col))
     th = pd.concat(rows, axis=1).reset_index()
-    th_ref = ray.put(th)
 
-    class Clip:
-        def __init__(self):
-            self.th = ray.get(th_ref)
+    def clip(df: pd.DataFrame, th: pd.DataFrame) -> pd.DataFrame:
+        m = df[df["source"].notna()].merge(th, on="source")
+        x = m["n_chars"].to_numpy(np.int64)
+        lo = m["lo"].to_numpy(np.int64)
+        hi = m["hi"].to_numpy(np.int64)
+        w = np.minimum(np.maximum(x, lo), hi)
+        return pd.DataFrame({
+            "doc_id": m["doc_id"].astype("int64"),
+            "source": m["source"],
+            "n_chars": m["n_chars"].astype("int64"),
+            "n_chars_w": w,
+            "clipped": (w != x).astype("int64")})
 
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            m = df[df["source"].notna()].merge(self.th, on="source")
-            x = m["n_chars"].to_numpy(np.int64)
-            lo = m["lo"].to_numpy(np.int64)
-            hi = m["hi"].to_numpy(np.int64)
-            w = np.minimum(np.maximum(x, lo), hi)
-            return pd.DataFrame({
-                "doc_id": m["doc_id"].astype("int64"),
-                "source": m["source"],
-                "n_chars": m["n_chars"].astype("int64"),
-                "n_chars_w": w,
-                "clipped": (w != x).astype("int64")})
-
-    return ds.map_batches(Clip, batch_format="pandas",
-                          batch_size=65536, concurrency=(1, 4))
+    # plain tasks with the thresholds in fn_kwargs, as in q_cluster_purity
+    return ds.map_batches(clip, batch_format="pandas", batch_size=65536,
+                          fn_kwargs={"th": th})
 
 
 def q_cross_join(sf_dir: str):

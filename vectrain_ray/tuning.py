@@ -10,7 +10,11 @@ with max_hash_shuffle_aggregators=2 and 0.1-CPU-per-partition overrides
 (round 2; the overlapped dual-execution DAG deadlocks against the
 aggregator pool). The default sort shuffle is kept; revisit only on a
 real multi-node cluster where aggregators don't share cores with the map
-stages.
+stages. The bucket exchange (``functions.dedup_exact.exchange`` and
+``dedup_exact``) runs on that sort backend as ``sort("bucket")`` plus one
+``map_batches(batch_size=None)`` call per sorted block, not
+``groupby().map_groups``, whose per-bucket split and conversions cost
+more than the finishers on the registry mix (``BENCH_exchange_blocks.json``).
 """
 
 from __future__ import annotations
