@@ -115,8 +115,6 @@ def run_bench() -> dict:
             tpath,
             out_dir=out_dir,
             batch_size=8192,
-            encoder_concurrency=max(2, NUM_CPUS // 4),
-            linker_concurrency=max(2, NUM_CPUS // 4),
             assume_conv_partitioned=True,  # bench corpus is one-file-per-conv-bucket
         )
         kg_sec = time.time() - t0

@@ -11,7 +11,7 @@ from vectrain_ray.config import PipelineSpec
 def test_valid_spec_roundtrip(tmp_path):
     d = {
         "source": {"kind": "parquet", "path": "/tmp/in"},
-        "encoder": {"dim": 32, "concurrency": 2},
+        "encoder": {"dim": 32},
         "sink": {"out_dir": "/tmp/out", "num_parts": 4},
     }
     p = tmp_path / "spec.json"
@@ -123,22 +123,16 @@ def test_json_source_kind_dispatches_reader(tmp_path):
     pd.testing.assert_frame_equal(outs["json"], outs["parquet"])
 
 
-@pytest.mark.parametrize("sub", ["encoder", "linker"])
-def test_resumable_and_stream_specs_reject_pool_sizes(sub, tmp_path):
-    """Neither run_kg_resumable nor StreamDriver takes a pool size: a
-    resumable or stream spec that sets one must fail, not drop it."""
-    from vectrain_ray.config import (resume_kwargs_from_spec,
-                                     stream_driver_from_spec)
-
-    def spec(concurrency):
-        return PipelineSpec.from_dict({
-            "source": {"path": str(tmp_path / "in")},
-            sub: {"concurrency": concurrency},
-            "sink": {"out_dir": str(tmp_path / "out")}})
-
-    with pytest.raises(ValueError, match=f"{sub}.concurrency"):
-        resume_kwargs_from_spec(spec(2))
-    with pytest.raises(ValueError, match=f"{sub}.concurrency"):
-        stream_driver_from_spec(spec(2))
-    # the default is what the runners do anyway
-    assert resume_kwargs_from_spec(spec(4))["dim"] == 64
+def test_deleted_pool_keys_rejected():
+    """Encode and link run as plain tasks with no size or retry setting:
+    a spec that sets one fails validation as an unknown key, resumable or
+    not, rather than being silently accepted."""
+    for sub, key in (("encoder", "concurrency"),
+                     ("encoder", "max_task_retries"),
+                     ("linker", "concurrency")):
+        for resumable in (True, False):
+            with pytest.raises(ValueError,
+                               match=f"unknown {sub.title()}Spec keys"):
+                PipelineSpec.from_dict({
+                    "source": {"path": "x"}, sub: {key: 2},
+                    "sink": {"out_dir": "/tmp/x"}, "resumable": resumable})

@@ -193,3 +193,17 @@ def test_no_hand_rolled_bucket_exchange():
                     bad.append(f"{os.path.relpath(path, PKG)}:{line} "
                                f"groupby({m.group(1)})")
     assert not bad, "map_groups over a bucket: " + ", ".join(bad)
+
+
+def test_kg_pipelines_hold_no_actor_pool():
+    """The KG drivers run encode and link as plain tasks: no stage of
+    theirs is sized as an actor pool or built from constructor kwargs."""
+    pool = re.compile(r"fn_constructor_kwargs|\bconcurrency\s*=|"
+                      r"[\"']concurrency[\"']")
+    bad = []
+    for name in ("kg", "resume", "phases", "stream"):
+        path = os.path.join(PKG, "pipelines", f"{name}.py")
+        for n, line in enumerate(open(path, encoding="utf-8"), start=1):
+            if pool.search(line):
+                bad.append(f"pipelines/{name}.py:{n}")
+    assert not bad, "actor pool in a KG driver: " + ", ".join(bad)

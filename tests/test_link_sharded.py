@@ -103,7 +103,7 @@ def _frames(res):
 def test_kg_pipeline_invariant_to_link_sharding(small_transcripts, tmp_path,
                                                 monkeypatch):
     """run_kg with link_shards=4 == broadcast run_kg, row for row, on the
-    Ray path (LOCAL_MAX_ROWS=0: the sharded-linker actor pool)."""
+    Ray path (LOCAL_MAX_ROWS=0: sharded-linker tasks over shard actors)."""
     from vectrain_ray.pipelines import resume as R
     from vectrain_ray.pipelines.kg import run_kg
 
@@ -121,7 +121,7 @@ def test_resumable_with_sharded_index(small_transcripts, tmp_path,
                                       monkeypatch):
     """Resumable runner with link_shards: same edges/nodes as broadcast on
     both sides of the local gate (the sharded linker called in the driver,
-    and as a Ray actor pool), and a rerun skips all phases (index marker
+    and in Ray tasks), and a rerun skips all phases (index marker
     honored)."""
     import pyarrow.parquet as pq
 

@@ -59,10 +59,9 @@ def test_each_phase_same_rows_on_table_and_dataset(num_parts, n_convs):
     assert a == b
     mapping_t, a, b = _both(phases.mapping, partials)
     assert a == b
-    for pool in (None, 1):
-        _, a, b = _both(phases.mentions, ext, batch_size=32,
-                        num_parts=num_parts, pool=pool, **enc)
-        assert a == b
+    _, a, b = _both(phases.mentions, ext, batch_size=32,
+                    num_parts=num_parts, **enc)
+    assert a == b
     linker_cls, linker_kwargs, _ = phases.linker(
         mapping_t, 0, None, 16, 0.85, "exact", 64, None)
     linked, a, b = _both(phases.link, ext, linker_cls=linker_cls,

@@ -252,8 +252,8 @@ def test_cross_poll_duplicate_resend_stays_exact(tmp_path):
 
 def test_big_input_path_equals_small(tmp_path, monkeypatch):
     """Force FUSE_MATERIALIZE_MAX_ROWS below the corpus so every phase
-    takes the big-input branch (streaming write + read-back, actor pools,
-    bucketed phase-4) — outputs must match the gated small path exactly.
+    takes the big-input branch (streaming write + read-back, bucketed
+    phase-4) — outputs must match the gated small path exactly.
     Guards the branch all test corpora otherwise leave dead."""
     from vectrain_ray.pipelines import resume as R
 

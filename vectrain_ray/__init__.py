@@ -6,9 +6,9 @@ service), re-expressed as Ray Data streaming pipelines:
 
   read_parquet(transcripts)
     → map_batches(extract_mentions_triples)          # stateless Arrow tasks
-    → map_batches(HashingEncoder, concurrency=N)     # stateful actor pool
+    → map_batches(encode_batch_task)                 # per-worker cached encoder
     → canonicalize (salted groupby + union-find)     # the shuffle stage
-    → map_batches(EntityLinker, concurrency=N)       # broadcast index lookup
+    → map_batches(link_batch_task)                   # broadcast index lookup
     → write_parquet(nodes/, edges/) + manifests      # idempotent, resumable
 
 Reference parity notes are cited per module as /root/reference file:line.

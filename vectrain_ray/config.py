@@ -6,9 +6,9 @@ pipeline.go:45-67,105-120).
 A spec is a plain dataclass tree, loadable from YAML/JSON, validated at
 construction time (fail fast, before any Ray work is scheduled — the
 reference's nil-component + validator-tag checks). ``run_from_spec``
-builds and executes the DAG; the reference's dead RetryPolicy
-(config.go:43-46, parsed-but-unused) is actually wired here via Ray Data's
-task/actor retry knobs.
+builds and executes the DAG. The reference's RetryPolicy (config.go:43-46,
+parsed but never read) has no field here: Ray Data retries every map task
+that a system failure kills.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ class EncoderSpec:
     # real-model HTTP adapter
     dim: int = 64
     batch_size: int = 4096
-    concurrency: int = 4
-    max_task_retries: int = 2  # the reference's RetryPolicy, actually wired
     options: dict = field(default_factory=dict)  # encoder-specific kwargs
     # (e.g. ollama endpoint/model)
 
@@ -56,15 +54,10 @@ class EncoderSpec:
             raise ValueError("encoder.dim must be > 0")
         if self.batch_size <= 0:
             raise ValueError("encoder.batch_size must be > 0")
-        if self.concurrency <= 0:
-            raise ValueError("encoder.concurrency must be > 0")
-        if self.max_task_retries < 0:
-            raise ValueError("encoder.max_task_retries must be >= 0")
 
 
 @dataclass
 class LinkerSpec:
-    concurrency: int = 4
     fuzzy_threshold: float = 0.85  # wired into EntityLinker/ShardedEntityLinker
     shards: int = 0  # 0 = automatic (broadcast under the entity-count
     # gate, sharded above); >0 = force K LinkShard actors
@@ -183,20 +176,11 @@ def resume_kwargs_from_spec(spec: PipelineSpec) -> dict:
     """Keyword args for run_kg_resumable / StreamDriver derived from a
     validated spec — ONE derivation shared by every call site (run_from_spec,
     the stream CLI, the control plane), so a new spec field cannot silently
-    miss one of them (the parsed-but-unused trap). Neither runner takes a
-    pool size, so a non-default ``encoder.concurrency`` or
-    ``linker.concurrency`` raises instead of being dropped."""
-    for name, sub, klass in (("encoder", spec.encoder, EncoderSpec),
-                             ("linker", spec.linker, LinkerSpec)):
-        if sub.concurrency != klass.concurrency:
-            raise ValueError(
-                f"{name}.concurrency is not honoured by the resumable and "
-                f"stream runners; remove it or set resumable: false")
+    miss one of them (the parsed-but-unused trap)."""
     return dict(
         source_kind=spec.source.kind,
         dim=spec.encoder.dim,
         batch_size=spec.encoder.batch_size,
-        max_task_retries=spec.encoder.max_task_retries,
         encoder_kind=spec.encoder.kind,
         encoder_kwargs=spec.encoder.options,
         link_shards=spec.linker.shards,
@@ -246,9 +230,6 @@ def run_from_spec(spec: PipelineSpec) -> dict:
             out_dir=spec.sink.out_dir,
             dim=spec.encoder.dim,
             batch_size=spec.encoder.batch_size,
-            encoder_concurrency=spec.encoder.concurrency,
-            linker_concurrency=spec.linker.concurrency,
-            max_task_retries=spec.encoder.max_task_retries,
             encoder_kind=spec.encoder.kind,
             encoder_kwargs=spec.encoder.options,
             link_shards=spec.linker.shards or None,

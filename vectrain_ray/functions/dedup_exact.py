@@ -50,19 +50,16 @@ def key_buckets(df: pd.DataFrame, key_cols: list[str], n: int) -> pd.Series:
 
 def map_chunks(fn, data, chunk: int | None = None,
                fn_kwargs: dict | None = None, **ray_args):
-    """``fn``, a batch kernel or a callable class, over ``data`` in
-    ``chunk``-row batches (whole blocks, or the whole table, when None):
-    on a Dataset ``map_batches(fn, batch_format="pyarrow")``, on a pyarrow
-    table slice after slice in the driver, a class constructed once from
-    ``fn_constructor_kwargs``. The other ``ray_args`` matter on Ray only:
-    ``concurrency``, ``max_task_retries``, or the ``batch_size`` of a
-    combiner that runs over a whole table in one call."""
+    """``fn``, a batch kernel, over ``data`` in ``chunk``-row batches
+    (whole blocks, or the whole table, when None): on a Dataset
+    ``map_batches(fn, batch_format="pyarrow")`` as plain tasks, on a
+    pyarrow table slice after slice in the driver. The other ``ray_args``
+    matter on Ray only, such as the ``batch_size`` of a combiner that runs
+    over a whole table in one call."""
     if not isinstance(data, pa.Table):
         return data.map_batches(fn, batch_format="pyarrow",
                                 fn_kwargs=fn_kwargs,
                                 **{"batch_size": chunk, **ray_args})
-    if isinstance(fn, type):
-        fn = fn(**ray_args.get("fn_constructor_kwargs", {}))
     kwargs = fn_kwargs or {}
     outs = [fn(data.slice(i, chunk), **kwargs)
             for i in range(0, data.num_rows, chunk)] if chunk else []

@@ -5,8 +5,9 @@ Ray-Data recast of the reference's Source → Embedder → Storage topology
 (internal/app/pipeline/pipeline.go:69-103 — bounded channels between one
 consume goroutine, N embed workers, one store goroutine). The streaming
 executor replaces the hand-rolled channels (backpressure for free); the
-embed worker pool becomes a map_batches actor pool; the store batcher
-becomes write_parquet block coalescing.
+embed worker pool becomes plain map_batches tasks, which hold no CPU
+between batches (each worker process caches its encoder); the store
+batcher becomes write_parquet block coalescing.
 
 Dataflow (each → is a streaming stage; ONE scan of the 100 TB input):
 
@@ -110,11 +111,8 @@ def run_kg(
     out_dir: str | None = None,
     dim: int = 64,
     batch_size: int = 4096,
-    encoder_concurrency: int = 4,
-    linker_concurrency: int = 4,
     write_outputs: bool = True,
     assume_conv_partitioned: bool = False,
-    max_task_retries: int = 2,
     link_shards: int | None = None,
     encoder_kind: str = "hashing",
     encoder_kwargs: dict | None = None,
@@ -145,32 +143,11 @@ def run_kg(
             shutil.rmtree(os.path.join(out_dir, name), ignore_errors=True)
     enc_kwargs = {"kind": encoder_kind, "dim": dim, **(encoder_kwargs or {})}
 
-    # in the driver encode and link are plain kernel calls; on Ray, pools
-    encoder_pool = linker_pool = None
-    starved = False
-    if not local:
-        # an actor pool that reserves every CPU starves the task-pool
-        # stages feeding it (ray_guide: "a pool that reserves every CPU …
-        # serializes"); cap each pool so ≥2 CPUs stay free for
-        # reads/extraction/writes
-        total_cpus = int(ray.cluster_resources().get("CPU", 4))
-        encoder_concurrency = max(1, min(encoder_concurrency, total_cpus - 2))
-        linker_concurrency = max(1, min(linker_concurrency, total_cpus - 2))
-        # with one CPU a pool of one actor leaves no task slot beside it:
-        # an encode pool overlapping the canonicalize shuffle, or a link
-        # pool behind its feeder tasks, would wait for a slot forever. A
-        # starved cluster runs encode and link as plain tasks, one after
-        # the other
-        starved = total_cpus - max(encoder_concurrency,
-                                   linker_concurrency) < 1
-        if not starved:
-            encoder_pool, linker_pool = encoder_concurrency, linker_concurrency
-
-    def sink(name: str, data, timed_as: str, overlap: bool = True):
+    def sink(name: str, data, timed_as: str):
         """Write ``data`` to out_dir/``name`` when writing, timed as
         ``timed_as``: in the driver at once, as that phase's lap; on Ray on
-        a background thread with ``overlap``. Returns what finishes it:
-        the join, the write itself, or a no-op."""
+        a background thread. Returns what finishes it: the join or a
+        no-op."""
         run = clock.timed(timed_as, lambda: resume.write_table(
             data, os.path.join(out_dir, name)))
         if local:
@@ -178,7 +155,7 @@ def run_kg(
                 run()
             clock.lap(timed_as)
         elif write:
-            return phases.background(run) if overlap else run
+            return phases.background(run)
         return lambda: None
 
     # Idempotency: dedup duplicate re-sent turns at the INPUT (narrow rows).
@@ -199,31 +176,21 @@ def run_kg(
     clock.lap("extract")
 
     # On Ray the encode branch runs CONCURRENTLY with mapping→link→edges
-    # (hides the phase barriers) unless the cluster is starved, when it
-    # runs AFTER the main phases. With the mapping/edges phases at their
-    # final round-2 speed the overlap wins in EVERY measured regime — 25M
+    # (hides the phase barriers). With the mapping/edges phases at their
+    # final round-2 speed the overlap won in EVERY measured regime — 25M
     # turns / 32 CPUs one box: 85.3 s overlapped vs 117.7 s sequential (the
     # encode branch's 41 s hides entirely behind the main phases even
     # though the shared memory bus inflates edges 26 → 51 s); 6.3M / 8
-    # CPUs: 47 s vs 67 s; 1.6M / 32 CPUs: neutral within noise. (An earlier
-    # slower-mapping build had sequential winning at 32 CPUs — re-measure
-    # if the phase mix shifts again.)
-    # NOTE: do NOT widen the encoder pool in sequential mode. Measured at
-    # 25M turns / 32 CPUs (standalone encode branch, min-of-2):
-    # concurrency 8 → 15.5 s, 12 → 29.9 s, 16 → 35.6 s, 30 → 50.8 s.
-    # The hashing+memo encode is cheap; the branch is bound by the
-    # mentions_table feeder tasks + parquet write tasks, and every actor
-    # slot added beyond ~CPUs/4 takes a CPU from exactly those stages.
+    # CPUs: 47 s vs 67 s; 1.6M / 32 CPUs: neutral within noise. Encode and
+    # link are plain tasks, which hold no slot between batches, so the
+    # overlap also runs on a 1-CPU cluster.
     # In the driver the mentions are encoded here and written at once.
-    mentions = phases.mentions(extracted, batch_size, pool=encoder_pool,
-                               max_task_retries=max_task_retries,
-                               **enc_kwargs)
+    mentions = phases.mentions(extracted, batch_size, **enc_kwargs)
     # The encode branch needs NO global state: its streaming execution
     # (encode → write mentions/) overlaps mapping-build + linking (still
     # only TWO concurrent executions — three-way was measured to thrash at
     # low CPU counts).
-    finish_mentions = sink("mentions", mentions, "encode_write",
-                           overlap=not starved)
+    finish_mentions = sink("mentions", mentions, "encode_write")
 
     # --- canonicalization -------------------------------------------------
     # mapping is small (one row per distinct surface form) and consumed by
@@ -245,10 +212,10 @@ def run_kg(
                      tempfile.mkdtemp(prefix="vr_link_index_", dir="/tmp"))
     linker_cls, linker_kwargs, shard_actors = phases.linker(
         mapping, link_shards, index_dir, dim, fuzzy_threshold, link_ann,
-        link_ann_cells, link_ann_probe, starved=starved)
+        link_ann_cells, link_ann_probe)
     # `linked` feeds BOTH the triples output and edge aggregation → pin it.
     linked = phases.pin(phases.link(extracted, linker_cls, linker_kwargs,
-                                    batch_size, pool=linker_pool))
+                                    batch_size))
     for a in shard_actors:  # linking done → free the index actors
         ray.kill(a)
     clock.lap("link")
@@ -287,9 +254,7 @@ def run_kg(
             # overlap the edges write with the nodes computation/write
             phases.background(*final)()
             clock.lap("final_writes")
-            # the overlapped encode branch, or sequential mode: encode
-            # after the main phases
-            finish_mentions()
+            finish_mentions()  # the overlapped encode branch
         result = _results(tables, write and out_dir, pinned=("triples",))
     if write:
         result["paths"] = {n: os.path.join(out_dir, n) for n in TABLES}

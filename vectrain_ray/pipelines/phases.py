@@ -9,9 +9,8 @@ Each phase takes a pyarrow table or a Dataset, and the input's type is the
 mode: on a table the phase runs in the driver with no Ray Data execution
 (both drivers, below ``resume.LOCAL_MAX_ROWS``), on a Dataset it chains Ray
 Data stages. Each phase has one body; the two modes part only inside
-``map_chunks`` and ``exchange`` (functions/dedup_exact.py). Where a phase
-has a choice of execution on Ray (plain tasks or an actor pool) the caller
-passes its own decision in; on a table the kernels run as plain calls.
+``map_chunks`` and ``exchange`` (functions/dedup_exact.py). On Ray every
+phase maps plain functions, so no stage holds a CPU between batches.
 ``background`` runs the overlapped sinks and ``PhaseClock`` keeps the
 per-phase wall times.
 
@@ -35,7 +34,7 @@ from .. import rules
 from ..functions.dedup_exact import map_chunks
 from ..schema import MAPPING_SCHEMA
 from ..stages import canonicalize, materialize
-from ..stages.encode import ENCODERS, encode_batch_task
+from ..stages.encode import encode_batch_task
 from ..stages.extract import (
     extract_batch,
     filter_nonempty_text,
@@ -106,20 +105,20 @@ mapping = canonicalize.build_mapping_from_partials
 
 
 def linker(mapping_t, link_shards: int, index_dir: str | None, dim: int,
-           fuzzy_threshold: float, ann: str, n_cells: int, n_probe,
-           starved: bool = False):
+           fuzzy_threshold: float, ann: str, n_cells: int, n_probe):
     """(linker class, its kwargs, shard actors to kill after linking). A
     broadcast index over ``mapping_t``, a pyarrow table or a Dataset; with
     ``link_shards``, shard actors over the index in ``index_dir``, first
-    written there from ``mapping_t`` unless it is None. ``starved`` shard
-    actors reserve no CPU: on a 1-CPU cluster K shards of 0.1 CPU would
-    leave no whole slot for the link tasks that call them."""
+    written there from ``mapping_t`` unless it is None. On a 1-CPU cluster
+    the shard actors reserve no CPU: K shards of 0.1 CPU would leave no
+    whole slot for the link tasks that call them."""
     if link_shards:
         if mapping_t is not None:
             write_link_index(rd.from_arrow(mapping_t) if isinstance(
                 mapping_t, pa.Table) else mapping_t, index_dir, link_shards)
+        one_cpu = ray.cluster_resources().get("CPU", 0) < 2
         actors = make_link_shard_actors(index_dir, link_shards, dim=dim,
-                                        num_cpus=0 if starved else 0.1,
+                                        num_cpus=0 if one_cpu else 0.1,
                                         ann=ann, n_cells=n_cells,
                                         n_probe=n_probe)
         return ShardedEntityLinker, {
@@ -133,41 +132,22 @@ def linker(mapping_t, link_shards: int, index_dir: str | None, dim: int,
 
 
 def mentions(ext, batch_size: int, num_parts: int | None = None,
-             pool: int | None = None, max_task_retries: int = 0,
              **enc_kwargs):
-    """Encoded mentions: plain ``encode_batch_task`` calls, or with
-    ``pool`` (Ray only) a pool of that many ``ENCODERS[kind]`` actors whose
-    tasks retry ``max_task_retries`` times (the reference's RetryPolicy,
-    config.go:43-46, is parsed but never read; here it is enforced)."""
-    if pool:
-        ctor = {k: v for k, v in enc_kwargs.items() if k != "kind"}
-        encode = {"fn": ENCODERS[enc_kwargs["kind"]],
-                  "fn_constructor_kwargs": ctor, "concurrency": pool,
-                  **({"max_task_retries": max_task_retries}
-                     if max_task_retries else {})}
-    else:  # encode_batch_task caches one encoder (and its surface memo)
-        # per worker process, the driver's included
-        encode = {"fn": encode_batch_task, "fn_kwargs": enc_kwargs}
-    return with_parts(map_chunks(data=map_chunks(mentions_table, ext),
-                                 chunk=batch_size, **encode), num_parts)
+    """Encoded mentions: ``encode_batch_task`` caches one encoder (and its
+    surface memo) per worker process, the driver's included. Ray Data
+    retries a task that a system failure kills."""
+    return with_parts(map_chunks(encode_batch_task,
+                                 map_chunks(mentions_table, ext), batch_size,
+                                 fn_kwargs=enc_kwargs), num_parts)
 
 
 def link(ext, linker_cls, linker_kwargs: dict, batch_size: int,
-         pool: int | None = None, num_parts: int | None = None):
-    """Linked triples: plain ``link_batch_task`` calls, or with ``pool``
-    (Ray only) a pool of that many ``linker_cls`` actors. No task retries
-    on the pool: its constructor takes an object-store ref, and
-    max_task_retries forces max_restarts>0, which deadlocks actor
-    (re)starts whose ctor args live in the object store (ray#53727,
-    reproduced here)."""
-    if pool:
-        link = {"fn": linker_cls, "fn_constructor_kwargs": linker_kwargs,
-                "concurrency": pool}
-    else:  # link_batch_task caches one linker per worker process
-        link = {"fn": link_batch_task,
-                "fn_kwargs": {"linker_cls": linker_cls, **linker_kwargs}}
-    return with_parts(map_chunks(data=map_chunks(triples_table, ext),
-                                 chunk=batch_size, **link), num_parts)
+         num_parts: int | None = None):
+    """Linked triples: ``link_batch_task`` caches one ``linker_cls`` per
+    worker process, the driver's included."""
+    return with_parts(map_chunks(
+        link_batch_task, map_chunks(triples_table, ext), batch_size,
+        fn_kwargs={"linker_cls": linker_cls, **linker_kwargs}), num_parts)
 
 
 def edge_partials(linked, num_parts: int | None = None):

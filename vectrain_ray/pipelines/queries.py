@@ -1102,8 +1102,8 @@ def q_cluster_purity(sf_dir: str):
         return g.rename_columns(["cluster", "label", "p_cnt"])
 
     # plain tasks with the matrix in fn_kwargs: an actor pool whose
-    # constructor reads an object-store ref is the restart-deadlock shape
-    # phases.link documents (ray#53727)
+    # constructor reads an object-store ref, with restarts on, can
+    # deadlock a restarting actor (ray#53727)
     partials = ds.map_batches(assign_count, batch_format="pyarrow",
                               batch_size=4096,
                               fn_kwargs={"C": C, "c_zero": c_zero})
@@ -5167,28 +5167,24 @@ def q_cross_join(sf_dir: str):
     plus the nation key.
 
     Scale path: a cross join is only sane when ONE side is small — the
-    small side (region) ships once via ray.put and each streaming batch
-    of the big side expands in a vectorized pandas merge(how="cross");
-    the big side never shuffles and output size is |big| × |small| by
-    construction (the caller's contract, documented, not silently
-    truncated)."""
+    small side (region) rides in each task's ``fn_kwargs`` and each
+    streaming batch of the big side expands in a vectorized pandas
+    merge(how="cross"); the big side never shuffles and output size is
+    |big| × |small| by construction (the caller's contract, documented,
+    not silently truncated)."""
     small = _read(sf_dir, "region", ["r_name"]).to_pandas()  # ≤ 5 rows
-    small_ref = ray.put(small)
     big = _read(sf_dir, "nation", ["n_nationkey", "n_name"])
 
-    class CrossJoin:
-        def __init__(self):
-            self.small = ray.get(small_ref)
+    def cross(df: pd.DataFrame, small: pd.DataFrame) -> pd.DataFrame:
+        out = df.merge(small, how="cross")
+        return pd.DataFrame({
+            "n_nationkey": out["n_nationkey"].astype("int64"),
+            "n_name": out["n_name"],
+            "r_name": out["r_name"]})
 
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            out = df.merge(self.small, how="cross")
-            return pd.DataFrame({
-                "n_nationkey": out["n_nationkey"].astype("int64"),
-                "n_name": out["n_name"],
-                "r_name": out["r_name"]})
-
-    return big.map_batches(CrossJoin, batch_format="pandas",
-                           batch_size=65536, concurrency=(1, 2))
+    # plain tasks with the small side in fn_kwargs, as in q_cluster_purity
+    return big.map_batches(cross, batch_format="pandas", batch_size=65536,
+                           fn_kwargs={"small": small})
 
 
 def q_embed_quantize(sf_dir: str):

@@ -237,7 +237,6 @@ def run_kg_resumable(
     dim: int = 64,
     batch_size: int = 4096,
     fail_after_phase1_parts: int | None = None,
-    max_task_retries: int = 2,
     link_shards: int = 0,
     encoder_kind: str = "hashing",
     encoder_kwargs: dict | None = None,
@@ -256,14 +255,9 @@ def run_kg_resumable(
     execution; a pipeline per shard paid ~1-2 s of fixed cost per shard
     per phase)."""
     cpus = int(ray.cluster_resources().get("CPU", 8))
-    # actors per encode/link pool on the Ray path: scales with the cluster
-    pool = max(2, min(8, cpus // 8))
     # below 16 CPUs concurrent executions starve each other's map and write
     # tasks (measured), so only larger sessions overlap the Ray path's sinks
     overlap = cpus >= 16
-    # run_kg's rule: with one CPU, K link shard actors of 0.1 CPU each
-    # leave no whole slot for the link tasks that call them
-    starved = cpus < 2
     os.makedirs(out_dir, exist_ok=True)
     man1 = PartitionManifest(os.path.join(out_dir, "p1_extract"))
     man_m = PartitionManifest(os.path.join(out_dir, "p2_mentions"))
@@ -417,13 +411,8 @@ def run_kg_resumable(
         all_ext = sorted(f for _, fs in todo for f in fs)
         n_ext = _rows(all_ext)
         ext = _read(all_ext, local_gate(gate, "mentions", n_ext), held=src)
-        # plain tasks under the fuse gate: encoder-pool spin-up dominates
-        # micro-batch encodes
-        write_parts(phases.mentions(
-            ext, batch_size, num_parts,
-            pool=None if n_ext < FUSE_MATERIALIZE_MAX_ROWS else pool,
-            max_task_retries=max_task_retries, **enc_kwargs,
-        ), out_dir, "mentions")
+        write_parts(phases.mentions(ext, batch_size, num_parts,
+                                    **enc_kwargs), out_dir, "mentions")
         wall = round((time.time() - t0) / len(todo), 3)
         for part, ext_files in todo:
             man_m.commit(part, ext_files,
@@ -510,7 +499,7 @@ def run_kg_resumable(
                    else MAPPING_SCHEMA.empty_table())
     linker_cls, linker_kwargs, shard_actors = phases.linker(
         mapping, link_shards, index_dir, dim, fuzzy_threshold, link_ann,
-        link_ann_cells, link_ann_probe, starved=starved)
+        link_ann_cells, link_ann_probe)
     if link_shards and mapping is not None:
         open(shards_marker, "w").write(want)
 
@@ -590,11 +579,9 @@ def run_kg_resumable(
         ext = _read(all_ext, local,
                     held=p1_ext if p3_parts == p1_ran_parts else None)
         fuse_small = n_ext < FUSE_MATERIALIZE_MAX_ROWS
-        # plain tasks under the fuse gate: pool spin-up (~1 s/poll) dwarfs
-        # micro-batch linking, and tasks let Ray fuse the whole
-        # triples→link→part chain into one operator
+        # plain tasks let Ray fuse the whole triples→link→part chain into
+        # one operator
         linked = phases.link(ext, linker_cls, linker_kwargs, batch_size,
-                             pool=None if fuse_small else pool,
                              num_parts=num_parts)
 
         # the stored edge partials need no per-shard finalize exchange at

@@ -25,7 +25,7 @@ of near-duplicate clusters" with explicit skew handling:
 Output: a mapping Dataset (surface_norm → entity_id, canonical_name,
 n_mentions, aliases) small enough to broadcast with ``ray.put`` for the
 linking stage; at ≥10^8 entities shard the dict by crc_bucket(norm, K) with
-one linker pool per shard (documented partitioning assumption).
+one ``LinkShard`` actor per shard (documented partitioning assumption).
 """
 
 from __future__ import annotations

@@ -1,14 +1,15 @@
-"""Stage 2 — the stateful embedding encoder (actor pool).
+"""Stage 2 — the stateful embedding encoder.
 
 Recast of the reference's embedder stage (E1/E2): there, N goroutines each
 POST one text at a time to an external Ollama server
 (internal/app/embedders/ollama/embed_message.go:14-65, worker pool
-internal/app/pipeline/pipeline.go:242-273). Here the model state lives
-*inside* the actor — built once in ``__init__`` per worker — and ``__call__``
-embeds a whole Arrow batch vectorized:
+internal/app/pipeline/pipeline.go:242-273). Here the model state lives in
+one encoder per worker process — built once in ``__init__`` and cached by
+``encode_batch_task`` — and ``__call__`` embeds a whole Arrow batch
+vectorized, as plain tasks:
 
-    ds.map_batches(HashingEncoder(dim), concurrency=N, batch_size=B,
-                   batch_format="pyarrow")
+    ds.map_batches(encode_batch_task, fn_kwargs={"dim": dim},
+                   batch_size=B, batch_format="pyarrow")
 
 Error semantics made explicit (the reference parses a
 ``skip_embedder_errors`` knob but never reads it — internal/config/config.go:24):
@@ -123,7 +124,7 @@ class OllamaEncoder(HashingEncoder):
     """Real-model adapter with the reference's wire shape: batched POST of
     texts to an embedding server (internal/app/embedders/ollama/
     embed_message.go:14-65 — there one text per request; here one request
-    per BATCH, the N-goroutine pool becoming the actor pool). Subclasses
+    per BATCH, the N-goroutine pool becoming plain map tasks). Subclasses
     HashingEncoder so batching/memoization/dead-lettering are shared; only
     ``_encode_texts`` talks to the model.
 
@@ -195,17 +196,17 @@ ENCODERS: dict[str, type] = {
 }
 
 
-# --- plain-task mode (micro-batch polls) ------------------------------------
-# One encoder instance per WORKER PROCESS, keyed by config: the streaming
-# resume path swaps the actor pool for plain tasks under its small-input
-# gate (pool spin-up ~1 s per poll dwarfs the encode there), and Ray reuses
-# worker processes, so the per-instance surface memo keeps paying off.
+# --- plain tasks ------------------------------------------------------------
+# One encoder instance per WORKER PROCESS, keyed by config: Ray reuses
+# worker processes, so the per-instance surface memo keeps paying off
+# across tasks, and a task holds no CPU between batches, so the stages
+# feeding it always get a slot.
 _TASK_ENCODER_CACHE: dict = {}
 
 
 def encode_batch_task(batch, kind: str = "hashing", **kwargs):
-    """Functional twin of ``map_batches(ENCODERS[kind], ...)`` for plain
-    tasks. Same kernels, same memoization — only the lifecycle differs."""
+    """``batch`` encoded by this worker's cached ``ENCODERS[kind](**kwargs)``,
+    built on the first call with that config."""
     key = (kind, tuple(sorted(kwargs.items())))
     enc = _TASK_ENCODER_CACHE.get(key)
     if enc is None:

@@ -1,9 +1,10 @@
-"""Stage 4 — entity linking (stateful actor pool, broadcast index).
+"""Stage 4 — entity linking (one cached linker per worker, broadcast index).
 
 Recast of the reference's per-record Qdrant similarity store (write-only ANN,
 internal/app/storages/qdrant/store.go) into an actual *lookup* stage: each
-actor holds the entity index — built ONCE in ``__init__`` from objects
-broadcast with ``ray.put`` — and links a whole Arrow batch per call.
+worker process holds one linker (``link_batch_task``) with the entity index
+— built ONCE in ``__init__`` from objects broadcast with ``ray.put`` — and
+links a whole Arrow batch per plain-task call.
 
 Index = (a) exact dict surface_norm → (entity_id, canonical_name) and
 (b) a dense matrix of entity-name embeddings for fuzzy fallback: misses are
@@ -14,7 +15,7 @@ broadcast-small-side join analogue — no shuffle.
 Two deployment shapes, same semantics (tests assert bit-identical output):
 
 - **Broadcast** (entity table ≪ worker heap): one (dict, matrix) object in
-  the object store via ``ray.put``, read by every ``EntityLinker`` actor.
+  the object store via ``ray.put``, read by every ``EntityLinker``.
 - **Sharded** (≥10^8 entities — the 100 TB path): the mapping is written as
   parquet partitioned by ``link_shard = crc32(surface_norm) % K``; K
   ``LinkShard`` actors each load ONLY their partition and build their own
@@ -165,7 +166,7 @@ class LinkShard:
     """Raw Ray actor: ONE shard of the entity index. Loads only its own
     ``link_shard=<s>`` parquet partition (no Ray Data, no driver transit)
     and encodes only its own norms. ``num_cpus`` is fractional — lookups
-    are cheap and the actors must not starve the map_batches pools."""
+    are cheap and the actors must not starve the map tasks that call them."""
 
     def __init__(self, index_dir: str, shard: int, dim: int = 64,
                  ann: str = "exact", n_cells: int = 64,
@@ -640,20 +641,18 @@ def count_unsafe_links_distributed(tr_files: list[str], mapping_dir: str,
     return n_dep + n_missing
 
 
-# --- plain-task mode (micro-batch polls, starved clusters) ------------------
+# --- plain tasks ------------------------------------------------------------
 # One linker per WORKER PROCESS, keyed by its kwargs (the broadcast ref or
-# the shard actors, by id): the streaming resume path swaps the actor pool
-# for plain tasks under its small-input gate — actor-pool spin-up (~1 s per
-# poll) dominated linking there — and a 1-CPU cluster has no slot for a
-# pool beside the tasks feeding it. The per-instance surface memo persists
-# because Ray reuses workers.
+# the shard actors, by id). The per-instance surface memo persists because
+# Ray reuses workers, and a task holds no CPU between batches, so the
+# stages feeding it always get a slot, on a 1-CPU cluster too.
 _TASK_LINKER_CACHE: dict = {}
 
 
 def link_batch_task(batch, linker_cls=EntityLinker, **linker_kwargs):
-    """Functional twin of ``map_batches(linker_cls, fn_constructor_kwargs=
-    linker_kwargs)`` for plain tasks. Same vectorized kernel — only the
-    lifecycle differs."""
+    """``batch`` linked by this worker's cached
+    ``linker_cls(**linker_kwargs)``, built on the first call with those
+    kwargs."""
     key = (linker_cls.__name__, repr(sorted(linker_kwargs.items())))
     lk = _TASK_LINKER_CACHE.get(key)
     if lk is None:
