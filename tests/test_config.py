@@ -123,6 +123,26 @@ def test_json_source_kind_dispatches_reader(tmp_path):
     pd.testing.assert_frame_equal(outs["json"], outs["parquet"])
 
 
+@pytest.mark.parametrize("sub", ["encoder", "linker"])
+def test_resumable_and_stream_specs_reject_pool_sizes(sub, tmp_path):
+    """Neither run_kg_resumable nor StreamDriver takes a pool size: a
+    resumable or stream spec that sets one must fail, not drop it."""
+    from vectrain_ray.config import (resume_kwargs_from_spec,
+                                     stream_driver_from_spec)
+
+    def spec(**subspec):
+        return PipelineSpec.from_dict({
+            "source": {"path": str(tmp_path / "in")},
+            sub: subspec,
+            "sink": {"out_dir": str(tmp_path / "out")}, "resumable": True})
+
+    with pytest.raises(ValueError, match="concurrency"):
+        spec(concurrency=2)
+    # without one, both runners build from the spec with their defaults
+    assert resume_kwargs_from_spec(spec())["dim"] == 64
+    assert stream_driver_from_spec(spec()).out_dir == str(tmp_path / "out")
+
+
 def test_deleted_pool_keys_rejected():
     """Encode and link run as plain tasks with no size or retry setting:
     a spec that sets one fails validation as an unknown key, resumable or
