@@ -1,5 +1,5 @@
 """Embedder-batching semantics — SURVEY.md §5 test 2: every row exactly once,
-Vector xor Err, determinism across batch_size/concurrency (reference
+Vector xor Err, determinism across batch sizes (reference
 pipeline.go:242-273 re-expressed)."""
 
 import numpy as np
@@ -7,7 +7,8 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
-from vectrain_ray.stages.encode import HashingEncoder, encode_texts
+from vectrain_ray.stages.encode import (HashingEncoder, encode_batch_task,
+                                      encode_texts)
 
 
 def _mention_ds(n=500):
@@ -23,15 +24,15 @@ def _mention_ds(n=500):
     )
 
 
-@pytest.mark.parametrize("batch_size,concurrency", [(32, 1), (101, 2), (4096, 2)])
-def test_exactly_once_any_batching(batch_size, concurrency):
+@pytest.mark.parametrize("batch_size", [32, 101, 4096])
+def test_exactly_once_any_batching(batch_size):
+    # the production path: plain tasks over the per-worker cached encoder
     ds = _mention_ds()
     out = ds.map_batches(
-        HashingEncoder,
-        fn_constructor_kwargs={"dim": 16},
+        encode_batch_task,
+        fn_kwargs={"dim": 16},
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
     ).take_all()
     assert sorted(r["mention_id"] for r in out) == sorted(
         r["mention_id"] for r in _mention_ds().take_all()

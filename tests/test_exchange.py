@@ -196,14 +196,24 @@ def test_no_hand_rolled_bucket_exchange():
 
 
 def test_kg_pipelines_hold_no_actor_pool():
-    """The KG drivers run encode and link as plain tasks: no stage of
-    theirs is sized as an actor pool or built from constructor kwargs."""
-    pool = re.compile(r"fn_constructor_kwargs|\bconcurrency\s*=|"
-                      r"[\"']concurrency[\"']")
+    """Every map stage of the engine runs as plain tasks: no module sizes an
+    actor pool or builds one from constructor kwargs, except the one whose
+    actors hold a live client connection (the allow-list). The KG drivers
+    also read no ``"concurrency"`` spec key; the vector-store sink spec
+    keeps its own, which sizes that allowed pool."""
+    allowed = {os.path.join("stages", "vector_store.py")}  # Qdrant client
+    pool = re.compile(r"fn_constructor_kwargs|\bconcurrency\s*=")
+    spec_key = re.compile(r"[\"']concurrency[\"']")
+    kg = {os.path.join("pipelines", f"{name}.py")
+          for name in ("kg", "resume", "phases", "stream")}
     bad = []
-    for name in ("kg", "resume", "phases", "stream"):
-        path = os.path.join(PKG, "pipelines", f"{name}.py")
-        for n, line in enumerate(open(path, encoding="utf-8"), start=1):
-            if pool.search(line):
-                bad.append(f"pipelines/{name}.py:{n}")
-    assert not bad, "actor pool in a KG driver: " + ", ".join(bad)
+    for root, _, files in os.walk(PKG):
+        for f in files:
+            rel = os.path.relpath(os.path.join(root, f), PKG)
+            if not f.endswith(".py") or rel in allowed:
+                continue
+            for n, line in enumerate(open(os.path.join(root, f),
+                                          encoding="utf-8"), start=1):
+                if pool.search(line) or (rel in kg and spec_key.search(line)):
+                    bad.append(f"{rel}:{n}")
+    assert not bad, "actor pool outside the allow-list: " + ", ".join(bad)

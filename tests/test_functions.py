@@ -90,6 +90,49 @@ def test_minhash_candidates_deterministic():
     assert a == b and (1, 2) in a
 
 
+def test_worker_state_ships_by_reference_and_keeps_one_value_per_name():
+    """``worker_state`` is the one per-worker cache of the plain map tasks.
+    A nested transform that calls it cloudpickles without the cache's
+    contents, even with a DRIVER-side DuckDB connection parked there (the
+    old nested ``simhash_batch`` failure); a second ref under the same
+    name replaces the first value instead of adding a second."""
+    import duckdb
+    from ray import cloudpickle
+
+    from vectrain_ray.functions import dedup
+    from vectrain_ray.functions.dedup import worker_state
+
+    names = ("test_duck", "test_marker", "test_ref")
+    try:
+        worker_state("test_duck", None, lambda _: duckdb.connect())
+        worker_state("test_marker", None, lambda _: "parked-marker-7f3a")
+        ref = ray.put(np.arange(3))
+
+        def nested(t):
+            return worker_state("test_ref", ref)
+
+        blob = cloudpickle.dumps(nested)  # a DuckDB connection would raise
+        assert b"parked-marker-7f3a" not in blob
+
+        built = []
+
+        def build(key):
+            built.append(key)
+            return ray.get(key)
+
+        r1, r2 = ray.put([1, 2]), ray.put([3])
+        assert worker_state("test_ref", r1, build) == [1, 2]
+        assert worker_state("test_ref", r1, build) == [1, 2]
+        assert built == [r1]  # built once per ref
+        assert worker_state("test_ref", r2, build) == [3]
+        assert built == [r1, r2]
+        assert dedup._STAGE_CACHE["test_ref"] == (r2, [3])  # replaced
+        assert worker_state("test_ref", r1) == [1, 2]  # default: ray.get
+    finally:
+        for n in names:
+            dedup._STAGE_CACHE.pop(n, None)
+
+
 def test_ngram_jaccard_bounds():
     assert ngram_jaccard("abcdefgh", "abcdefgh") == 1.0
     assert ngram_jaccard("abcdefgh", "zzzzzzzz") == 0.0
@@ -152,7 +195,7 @@ def test_neardup_pairs_cosine_pairs_only_within_an_lsh_bucket():
     """One input block holds many LSH buckets, so the exchange hands one
     finisher call several of them: pairs must still come from within one
     bucket, as a brute-force pass per bucket finds them."""
-    from vectrain_ray.functions.similarity import LSHBucketer
+    from vectrain_ray.functions.similarity import hyperplanes, lsh_bucket
 
     rng = np.random.default_rng(5)
     base = rng.standard_normal((30, 16))
@@ -163,7 +206,7 @@ def test_neardup_pairs_cosine_pairs_only_within_an_lsh_bucket():
     got = {(r["id_a"], r["id_b"]) for r in neardup_pairs_cosine(
         rd.from_arrow(t), dim=16, threshold=0.95).take_all()}
 
-    bucket = LSHBucketer(dim=16)(t)["bucket"].to_numpy()
+    bucket = lsh_bucket(t, hyperplanes(16, 12))["bucket"].to_numpy()
     unit = mat.astype(np.float32).astype(np.float64)
     unit /= np.linalg.norm(unit, axis=1, keepdims=True)
     close = {(i, j) for i, j in zip(*np.where(np.triu(

@@ -1,8 +1,8 @@
 """Similarity search over embedding columns (list<float>).
 
 Baseline: brute-force cosine top-k — per-batch numpy matmul against a
-query matrix broadcast once with ``ray.put`` (never re-shipped per batch),
-per-batch partial top-k, tiny final merge. Scale path: IVF — vectors
+query vector shipped in each task's ``fn_kwargs``, per-batch partial
+top-k, tiny final merge. Scale path: IVF — vectors
 bucketed to the nearest of C centroids (centroids broadcast), search probes
 only the closest buckets; and random-hyperplane LSH bucketing for near-dup
 pair generation without an all-pairs pass.
@@ -48,55 +48,43 @@ def _cosine_to_query(mat: np.ndarray, q: np.ndarray) -> np.ndarray:
     return (mat @ qn) / norms
 
 
-class BatchTopK:
-    """map_batches actor: per-batch top-k rows by cosine vs a broadcast query."""
-
-    def __init__(self, query_ref, k: int = 10, id_col: str = "vec_id",
-                 vec_col: str = "embedding"):
-        import ray
-
-        self.q = np.asarray(ray.get(query_ref), dtype=np.float64)
-        self.k, self.id_col, self.vec_col = k, id_col, vec_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        mat = _to_matrix(batch[self.vec_col], dim=len(self.q))
-        sims = _cosine_to_query(mat, self.q)
-        k = min(self.k, len(sims))
-        all_ids = np.asarray(batch[self.id_col].to_pylist())
-        # FULL (score desc, id asc) order, not argpartition: a tie at the
-        # batch-local k boundary must keep the SMALLEST id (the global
-        # tie-break), independent of array position / batch composition
-        idx = (np.lexsort((all_ids, -sims))[:k] if k
-               else np.array([], int))
-        ids = all_ids[idx]
-        # explicit id type: an empty pa.array([]) would infer null and break
-        # schema unification at the final sort. Scores stay UNROUNDED — the
-        # global rank must use the exact cosine (the SQL oracle orders by
-        # the unrounded value); callers round only in the final projection.
-        id_type = batch.schema.field(self.id_col).type
-        return pa.table(
-            {
-                self.id_col: pa.array(ids.tolist(), type=id_type),
-                "score": pa.array(sims[idx], pa.float64()),
-            }
-        )
+def batch_topk(batch: pa.Table, q: np.ndarray, k: int = 10,
+               id_col: str = "vec_id", vec_col: str = "embedding") -> pa.Table:
+    """Per-batch top-k rows by cosine vs the query vector ``q``."""
+    mat = _to_matrix(batch[vec_col], dim=len(q))
+    sims = _cosine_to_query(mat, q)
+    k = min(k, len(sims))
+    all_ids = np.asarray(batch[id_col].to_pylist())
+    # FULL (score desc, id asc) order, not argpartition: a tie at the
+    # batch-local k boundary must keep the SMALLEST id (the global
+    # tie-break), independent of array position / batch composition
+    idx = (np.lexsort((all_ids, -sims))[:k] if k
+           else np.array([], int))
+    ids = all_ids[idx]
+    # explicit id type: an empty pa.array([]) would infer null and break
+    # schema unification at the final sort. Scores stay UNROUNDED — the
+    # global rank must use the exact cosine (the SQL oracle orders by
+    # the unrounded value); callers round only in the final projection.
+    id_type = batch.schema.field(id_col).type
+    return pa.table(
+        {
+            id_col: pa.array(ids.tolist(), type=id_type),
+            "score": pa.array(sims[idx], pa.float64()),
+        }
+    )
 
 
 def topk_cosine(ds, query_vec, k: int = 10, id_col: str = "vec_id",
-                vec_col: str = "embedding", concurrency: int = 2):
-    """Global cosine top-k: partial top-k per batch (actor pool, broadcast
-    query) → final sort over ≤ k×num_batches candidate rows. Ties broken by
-    (score desc, id asc) for determinism."""
-    import ray
-
-    query_ref = ray.put(np.asarray(query_vec, dtype=np.float64))
+                vec_col: str = "embedding"):
+    """Global cosine top-k: partial top-k per batch (plain tasks, the query
+    in fn_kwargs) → final sort over ≤ k×num_batches candidate rows. Ties
+    broken by (score desc, id asc) for determinism."""
     partial = ds.map_batches(
-        BatchTopK,
-        fn_constructor_kwargs={"query_ref": query_ref, "k": k,
-                               "id_col": id_col, "vec_col": vec_col},
+        batch_topk,
+        fn_kwargs={"q": np.asarray(query_vec, dtype=np.float64), "k": k,
+                   "id_col": id_col, "vec_col": vec_col},
         batch_format="pyarrow",
         batch_size=4096,
-        concurrency=concurrency,
     )
     # rank on the UNROUNDED cosine (rounded ties across batches would break
     # by id and pick a different member than ORDER BY exact-score); round
@@ -118,26 +106,19 @@ def hyperplanes(dim: int, n_planes: int = 16, seed: int = 42) -> np.ndarray:
     return rng.standard_normal((n_planes, dim))
 
 
-class LSHBucketer:
-    """Adds a bucket id = sign-pattern of projections onto fixed random
-    hyperplanes (seeded → deterministic across actors/runs)."""
-
-    def __init__(self, dim: int, n_planes: int = 12, seed: int = 42,
-                 vec_col: str = "embedding", out: str = "bucket"):
-        self.planes = hyperplanes(dim, n_planes, seed)
-        self.vec_col, self.out = vec_col, out
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        mat = _to_matrix(batch[self.vec_col], dim=self.planes.shape[1])
-        bits = (mat @ self.planes.T) > 0
-        buckets = bits @ (1 << np.arange(bits.shape[1], dtype=np.int64))
-        return batch.append_column(self.out, pa.array(buckets, pa.int64()))
+def lsh_bucket(batch: pa.Table, planes: np.ndarray,
+               vec_col: str = "embedding", out: str = "bucket") -> pa.Table:
+    """Adds a bucket id = sign-pattern of projections onto ``planes``
+    (``hyperplanes``: seeded → deterministic across tasks/runs)."""
+    mat = _to_matrix(batch[vec_col], dim=planes.shape[1])
+    bits = (mat @ planes.T) > 0
+    buckets = bits @ (1 << np.arange(bits.shape[1], dtype=np.int64))
+    return batch.append_column(out, pa.array(buckets, pa.int64()))
 
 
 def neardup_pairs_cosine(ds, dim: int, threshold: float = 0.95,
                          id_col: str = "vec_id", vec_col: str = "embedding",
-                         n_planes: int = 12, max_bucket: int = 2000,
-                         concurrency: int = 2):
+                         n_planes: int = 12, max_bucket: int = 2000):
     """Embedding-cosine near-duplicate pairs without an all-pairs pass:
     LSH-bucket → exchange on the bucket → exact cosine within each bucket
     (≤ max_bucket rows; larger buckets are truncated deterministically and
@@ -145,12 +126,10 @@ def neardup_pairs_cosine(ds, dim: int, threshold: float = 0.95,
     import pandas as pd
 
     bucketed = ds.map_batches(
-        LSHBucketer,
-        fn_constructor_kwargs={"dim": dim, "n_planes": n_planes,
-                               "vec_col": vec_col},
+        lsh_bucket,
+        fn_kwargs={"planes": hyperplanes(dim, n_planes), "vec_col": vec_col},
         batch_format="pyarrow",
         batch_size=4096,
-        concurrency=concurrency,
     )
 
     def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -180,7 +159,7 @@ def neardup_pairs_cosine(ds, dim: int, threshold: float = 0.95,
 def train_centroids(sample: np.ndarray, n_centroids: int = 16,
                     iters: int = 10, seed: int = 42) -> np.ndarray:
     """Plain Lloyd's k-means on a driver-side sample (deterministic seed).
-    The centroid matrix is tiny → broadcast with ray.put."""
+    The centroid matrix is tiny → it rides in each task's fn_kwargs."""
     rng = np.random.RandomState(seed)
     idx = rng.choice(len(sample), size=min(n_centroids, len(sample)),
                      replace=False)
@@ -198,29 +177,22 @@ def train_centroids(sample: np.ndarray, n_centroids: int = 16,
     return cents
 
 
-class IVFAssigner:
-    """Adds ivf_cell = nearest centroid id (centroids broadcast via ray.put)."""
-
-    def __init__(self, centroids_ref, vec_col: str = "embedding"):
-        import ray
-
-        self.cents = np.asarray(ray.get(centroids_ref), dtype=np.float64)
-        self.vec_col = vec_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        mat = _to_matrix(batch[self.vec_col], dim=self.cents.shape[1])
-        # expansion form: the temp is (batch, C) — a (batch, C, d) float64
-        # broadcast would be ~25 GB per batch at d=768, C=1024
-        d = ((mat ** 2).sum(1)[:, None] - 2.0 * (mat @ self.cents.T)
-             + (self.cents ** 2).sum(1)[None, :])
-        return batch.append_column(
-            "ivf_cell", pa.array(d.argmin(1).astype(np.int64), pa.int64())
-        )
+def ivf_assign(batch: pa.Table, cents: np.ndarray,
+               vec_col: str = "embedding") -> pa.Table:
+    """Adds ivf_cell = nearest centroid id (float64 ``cents``)."""
+    mat = _to_matrix(batch[vec_col], dim=cents.shape[1])
+    # expansion form: the temp is (batch, C) — a (batch, C, d) float64
+    # broadcast would be ~25 GB per batch at d=768, C=1024
+    d = ((mat ** 2).sum(1)[:, None] - 2.0 * (mat @ cents.T)
+         + (cents ** 2).sum(1)[None, :])
+    return batch.append_column(
+        "ivf_cell", pa.array(d.argmin(1).astype(np.int64), pa.int64())
+    )
 
 
 def topk_cosine_ivf(ds, query_vec, centroids_ref, k: int = 10,
                     n_probe: int = 4, id_col: str = "vec_id",
-                    vec_col: str = "embedding", concurrency: int = 2):
+                    vec_col: str = "embedding"):
     """IVF search: assign cells once, then brute-force ONLY the n_probe cells
     closest to the query. Approximate (recall < 1 when the true neighbor sits
     in an unprobed cell) — the scale path next to exact topk_cosine."""
@@ -231,12 +203,8 @@ def topk_cosine_ivf(ds, query_vec, centroids_ref, k: int = 10,
     probe = np.argsort(((cents - q) ** 2).sum(1))[:n_probe].tolist()
 
     assigned = ds.map_batches(
-        IVFAssigner,
-        fn_constructor_kwargs={"centroids_ref": centroids_ref,
-                               "vec_col": vec_col},
-        batch_format="pyarrow",
-        batch_size=4096,
-        concurrency=concurrency,
+        ivf_assign, fn_kwargs={"cents": cents, "vec_col": vec_col},
+        batch_format="pyarrow", batch_size=4096,
     )
     import pyarrow.compute as pc
 
@@ -244,5 +212,4 @@ def topk_cosine_ivf(ds, query_vec, centroids_ref, k: int = 10,
         lambda t: t.filter(pc.is_in(t["ivf_cell"], pa.array(probe))),
         batch_format="pyarrow",
     )
-    return topk_cosine(probed, q, k=k, id_col=id_col, vec_col=vec_col,
-                       concurrency=concurrency)
+    return topk_cosine(probed, q, k=k, id_col=id_col, vec_col=vec_col)

@@ -37,7 +37,8 @@ import ray.data as rd
 from ray.data.aggregate import Max, Min, Sum
 
 from ..functions import textops
-from ..functions.dedup import dedup_minhash, simhash_candidate_pairs
+from ..functions.dedup import (_duck_conn, dedup_minhash,
+                               simhash_candidate_pairs, worker_state)
 from ..functions.dedup_exact import dedup_exact, exchange, key_buckets
 from ..functions.similarity import neardup_pairs_cosine, topk_cosine
 from ..logs import log_event
@@ -94,6 +95,12 @@ def _join_partitions(per_cpu_divisor: int = 2, cap: int = 16) -> int:
     return max(2, min(cap, cpus // per_cpu_divisor))
 
 
+def _worker_duck():
+    """This worker's in-process DuckDB connection (one per process, shared
+    by every operator that needs a SQL-parity kernel such as md5)."""
+    return worker_state("duckdb", None, lambda _: _duck_conn())
+
+
 def _broadcast_keyset_filter(ds, col: str, keys: pa.Array, keep: bool,
                              distinct: bool = True):
     """Broadcast-membership filter: keep (or drop) rows of ``ds`` whose
@@ -101,22 +108,17 @@ def _broadcast_keyset_filter(ds, col: str, keys: pa.Array, keep: bool,
     ``distinct=True`` first collapses ``ds`` to distinct ``col`` values —
     the set-op shape (INTERSECT / EXCEPT); ``distinct=False`` filters the
     full rows — the SEMI / ANTI join shape."""
-    ref = ray.put(keys)
     probe = dedup_exact(ds, [col]) if distinct else ds
 
-    class KeySetFilter:
-        def __init__(self):
-            self.keys = ray.get(ref)
+    def keyset_filter(t: pa.Table, keys_ref) -> pa.Table:
+        ks = pc.cast(worker_state("keyset_filter", keys_ref), t[col].type)
+        mask = pc.is_in(t[col], value_set=ks)
+        if not keep:
+            mask = pc.invert(mask)
+        return t.filter(mask)
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            ks = pc.cast(self.keys, t[col].type)
-            mask = pc.is_in(t[col], value_set=ks)
-            if not keep:
-                mask = pc.invert(mask)
-            return t.filter(mask)
-
-    return probe.map_batches(KeySetFilter, batch_format="pyarrow",
-                             concurrency=(1, 2))
+    return probe.map_batches(keyset_filter, batch_format="pyarrow",
+                             fn_kwargs={"keys_ref": ray.put(keys)})
 
 
 def _round_half_away(arr, nd: int) -> pa.Array:
@@ -333,8 +335,9 @@ def q_distinct(sf_dir: str):
 
 
 def q_broadcast_join(sf_dir: str):
-    """customer ⋈ nation ⋈ region with both small sides broadcast via
-    ray.put (dimension-table pattern — zero shuffle for the join itself)."""
+    """customer ⋈ nation ⋈ region with both small sides broadcast in each
+    task's fn_kwargs (dimension-table pattern — zero shuffle for the join
+    itself)."""
     nation = pq.read_table(os.path.join(sf_dir, "nation.parquet"))
     region = pq.read_table(os.path.join(sf_dir, "region.parquet"))
     r_name = dict(zip(region["r_regionkey"].to_pylist(), region["r_name"].to_pylist()))
@@ -343,27 +346,22 @@ def q_broadcast_join(sf_dir: str):
         for nk, rk in zip(nation["n_nationkey"].to_pylist(),
                           nation["n_regionkey"].to_pylist())
     }
-    lookup_ref = ray.put(nk2region)
 
-    class AddRegion:
-        def __init__(self):
-            # broadcast lookup as Arrow key/value arrays: index_in + take is
-            # the vectorized dictionary-join idiom (no per-row dict.get)
-            lut = ray.get(lookup_ref)
-            self.keys = pa.array(list(lut.keys()))
-            self.vals = pa.array(list(lut.values()), pa.string())
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            idx = pc.index_in(t["c_nationkey"], value_set=self.keys)
-            t = t.append_column("r_name", pc.take(self.vals, idx))
-            g = t.group_by("r_name").aggregate(
-                [("c_acctbal", "sum"), ([], "count_all")]  # count(*)
-            )
-            return g.rename_columns(["r_name", "p_bal", "p_cnt"])
+    def add_region(t: pa.Table, keys: pa.Array, vals: pa.Array) -> pa.Table:
+        # broadcast lookup as Arrow key/value arrays: index_in + take is
+        # the vectorized dictionary-join idiom (no per-row dict.get)
+        idx = pc.index_in(t["c_nationkey"], value_set=keys)
+        t = t.append_column("r_name", pc.take(vals, idx))
+        g = t.group_by("r_name").aggregate(
+            [("c_acctbal", "sum"), ([], "count_all")]  # count(*)
+        )
+        return g.rename_columns(["r_name", "p_bal", "p_cnt"])
 
     ds = _read(sf_dir, "customer", ["c_custkey", "c_nationkey", "c_acctbal"])
+    lookup = {"keys": pa.array(list(nk2region.keys())),
+              "vals": pa.array(list(nk2region.values()), pa.string())}
     out = (
-        ds.map_batches(AddRegion, batch_format="pyarrow", concurrency=(1, 2))
+        ds.map_batches(add_region, batch_format="pyarrow", fn_kwargs=lookup)
         .groupby("r_name")
         .aggregate(Sum("p_cnt", alias_name="n_customers"),
                    Sum("p_bal", alias_name="sum_acctbal"))
@@ -595,29 +593,25 @@ def q_asof_join(sf_dir: str):
         .sort_values("o_orderdate", kind="stable")
         .reset_index(drop=True)
     )
-    orders_ref = ray.put(orders)
 
-    class AsOf:
-        def __init__(self):
-            self.orders = ray.get(orders_ref)
-
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            df = df.sort_values("ts", kind="stable")
-            m = pd.merge_asof(
-                df, self.orders, left_on="ts", right_on="o_orderdate",
-                left_by="user_id", right_by="o_custkey",
-            )
-            m = m.dropna(subset=["o_orderkey"])  # inner semantics
-            return pd.DataFrame(
-                {
-                    "event_id": m["event_id"].astype("int64"),
-                    "user_id": m["user_id"].astype("int64"),
-                    "o_orderkey": m["o_orderkey"].astype("int64"),
-                }
-            )
+    def asof(df: pd.DataFrame, orders_ref) -> pd.DataFrame:
+        df = df.sort_values("ts", kind="stable")
+        m = pd.merge_asof(
+            df, worker_state("asof", orders_ref), left_on="ts",
+            right_on="o_orderdate", left_by="user_id", right_by="o_custkey",
+        )
+        m = m.dropna(subset=["o_orderkey"])  # inner semantics
+        return pd.DataFrame(
+            {
+                "event_id": m["event_id"].astype("int64"),
+                "user_id": m["user_id"].astype("int64"),
+                "o_orderkey": m["o_orderkey"].astype("int64"),
+            }
+        )
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
-    return ds.map_batches(AsOf, batch_format="pandas", concurrency=(1, 2))
+    return ds.map_batches(asof, batch_format="pandas",
+                          fn_kwargs={"orders_ref": ray.put(orders)})
 
 
 def q_asof_join_bucketed(sf_dir: str, num_buckets: int = 64):
@@ -759,28 +753,21 @@ def q_sample_hash(sf_dir: str):
     lineage-stable subsets at 100 TB (re-runs pick the SAME rows)."""
     ds = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
 
-    class HashSampler:
-        """md5 has no numpy/Arrow kernel, so the mask is computed by an
-        in-process DuckDB connection (vectorized C++, zero-copy over the
-        Arrow batch) — one connection per actor, ~9× the per-row hashlib
-        loop it replaced, and md5_number_lower parity with the SQL oracle
-        by construction."""
+    def hash_sample(t: pa.Table) -> pa.Table:
+        # md5 has no numpy/Arrow kernel, so the mask is computed by the
+        # worker's in-process DuckDB connection (vectorized C++, zero-copy
+        # over the Arrow batch) — ~9× the per-row hashlib loop it replaced,
+        # and md5_number_lower parity with the SQL oracle by construction
+        con = _worker_duck()
+        con.register("b", t)
+        mask = con.execute(
+            "select md5_number_lower(cast(doc_id as varchar)) % 10 = 0"
+            " as k from b"
+        ).arrow()["k"]
+        con.unregister("b")
+        return t.filter(mask)
 
-        def __init__(self):
-            import duckdb
-
-            self.con = duckdb.connect()
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            self.con.register("b", t)
-            mask = self.con.execute(
-                "select md5_number_lower(cast(doc_id as varchar)) % 10 = 0"
-                " as k from b"
-            ).arrow()["k"]
-            self.con.unregister("b")
-            return t.filter(mask)
-
-    return ds.map_batches(HashSampler, batch_format="pyarrow", concurrency=(1, 2))
+    return ds.map_batches(hash_sample, batch_format="pyarrow")
 
 
 def _cache_key(sf_dir: str) -> tuple:
@@ -885,13 +872,9 @@ def _minhash_clusters(sf_dir: str):
     dedup_keep_best (_session_memo): one process computes the MinHash
     clustering once."""
 
-    def build():
-        n_docs = pq.read_metadata(
-            os.path.join(sf_dir, "documents.parquet")).num_rows
-        return dedup_minhash(_read(sf_dir, "documents", ["doc_id", "text"]),
-                             threshold=0.8, approx_rows=n_docs).materialize()
-
-    return _session_memo("minhash_clusters", sf_dir, build)
+    return _session_memo("minhash_clusters", sf_dir, lambda: dedup_minhash(
+        _read(sf_dir, "documents", ["doc_id", "text"]),
+        threshold=0.8).materialize())
 
 
 def q_dedup_minhash(sf_dir: str):
@@ -1545,29 +1528,26 @@ def name_edges(edges, nodes, broadcast_max: int | None = None):
     names = nodes.select_columns(["entity_id", "canonical_name"]).materialize()
     if names.count() < broadcast_max:
         nd = names.to_pandas()
-        name_ref = ray.put((list(nd["entity_id"]), list(nd["canonical_name"])))
+        name_ref = ray.put((pa.array(list(nd["entity_id"]), pa.string()),
+                            pa.array(list(nd["canonical_name"]), pa.string())))
 
-        class NameEdges:
-            def __init__(self):
-                keys, vals = ray.get(name_ref)
-                self.keys = pa.array(keys, pa.string())
-                self.vals = pa.array(vals, pa.string())
+        def name_batch(t: pa.Table, name_ref) -> pa.Table:
+            keys, vals = worker_state("name_edges", name_ref)
 
-            def _lookup(self, col) -> pa.Array:
-                return pc.take(self.vals, pc.index_in(col, value_set=self.keys))
+            def lookup(col) -> pa.Array:
+                return pc.take(vals, pc.index_in(col, value_set=keys))
 
-            def __call__(self, t: pa.Table) -> pa.Table:
-                return pa.table(
-                    {
-                        "src_name": self._lookup(t["src_id"]),
-                        "pred": t["pred"],
-                        "dst_name": self._lookup(t["dst_id"]),
-                        "weight": t["weight"],
-                    }
-                )
+            return pa.table(
+                {
+                    "src_name": lookup(t["src_id"]),
+                    "pred": t["pred"],
+                    "dst_name": lookup(t["dst_id"]),
+                    "weight": t["weight"],
+                }
+            )
 
-        return edges.map_batches(NameEdges, batch_format="pyarrow",
-                                 concurrency=(1, 2))
+        return edges.map_batches(name_batch, batch_format="pyarrow",
+                                 fn_kwargs={"name_ref": name_ref})
     # scale path: LEFT join once per key side (scalar columns only) — left,
     # not inner, so an edge whose endpoint id is missing from nodes keeps a
     # null name exactly like the broadcast path (the two deployment shapes
@@ -1711,36 +1691,32 @@ def q_vocab_coverage(sf_dir: str):
     V = 20
     vocab = pa.array([r["word"] for r in q_wordcount(sf_dir).take(V)],
                      pa.string())
-    vocab_ref = ray.put(vocab)
     ds = _tokenized_docs(sf_dir)
 
-    class OOVScan:
-        def __init__(self):
-            self.vocab = ray.get(vocab_ref)
+    def oov_scan(t: pa.Table, vocab_ref) -> pa.Table:
+        words, parents = _doc_tokens_from_lists(t)
+        ntok = pc.list_value_length(_as_array(t["toks"])).to_numpy(
+            zero_copy_only=False).astype(np.int64)
+        oov = pc.invert(pc.is_in(
+            words, value_set=worker_state("oov_scan", vocab_ref)))
+        n_oov = np.bincount(
+            parents.to_numpy(zero_copy_only=False)[
+                oov.to_numpy(zero_copy_only=False)],
+            minlength=t.num_rows).astype(np.int64)
+        keep = ntok > 0
+        ids = t["doc_id"].combine_chunks().to_numpy(
+            zero_copy_only=False)[keep]
+        nt, no = ntok[keep], n_oov[keep]
+        return pa.table({
+            "doc_id": pa.array(ids, pa.int64()),
+            "n_tokens": pa.array(nt, pa.int64()),
+            "n_oov": pa.array(no, pa.int64()),
+            "oov_rate": pa.array(no.astype(np.float64) /
+                                 nt.astype(np.float64), pa.float64()),
+        })
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            words, parents = _doc_tokens_from_lists(t)
-            ntok = pc.list_value_length(_as_array(t["toks"])).to_numpy(
-                zero_copy_only=False).astype(np.int64)
-            oov = pc.invert(pc.is_in(words, value_set=self.vocab))
-            n_oov = np.bincount(
-                parents.to_numpy(zero_copy_only=False)[
-                    oov.to_numpy(zero_copy_only=False)],
-                minlength=t.num_rows).astype(np.int64)
-            keep = ntok > 0
-            ids = t["doc_id"].combine_chunks().to_numpy(
-                zero_copy_only=False)[keep]
-            nt, no = ntok[keep], n_oov[keep]
-            return pa.table({
-                "doc_id": pa.array(ids, pa.int64()),
-                "n_tokens": pa.array(nt, pa.int64()),
-                "n_oov": pa.array(no, pa.int64()),
-                "oov_rate": pa.array(no.astype(np.float64) /
-                                     nt.astype(np.float64), pa.float64()),
-            })
-
-    return ds.map_batches(OOVScan, batch_format="pyarrow",
-                          batch_size=65536, concurrency=(1, 4))
+    return ds.map_batches(oov_scan, batch_format="pyarrow", batch_size=65536,
+                          fn_kwargs={"vocab_ref": ray.put(vocab)})
 
 
 def q_length_quantiles(sf_dir: str):
@@ -1899,29 +1875,26 @@ def q_lm_bigram_score(sf_dir: str, _force_join: bool = False):
         model = pd.DataFrame({
             "w1": model["w1"], "w2": model["w2"],
             "fp": (LM_FP_SCALE * (c12 + 1)) // (c1 + vocab_size)})
-        model_ref = ray.put(model)
 
-        class LMScan:
-            def __init__(self):
-                self.model = ray.get(model_ref)
+        def lm_scan(t: pa.Table, model_ref) -> pa.Table:
+            g = _doc_bigram_counts(t)
+            if g.empty:
+                return empty
+            # model ⊇ corpus
+            g = g.merge(worker_state("lm_scan", model_ref), on=["w1", "w2"])
+            g["contrib"] = g["fp"].to_numpy(np.int64) * \
+                g["k"].to_numpy(np.int64)
+            per = (g.groupby("p", sort=False)
+                   .agg(sum_fp=("contrib", "sum"), nb=("k", "sum"))
+                   .reset_index())
+            ids = t["doc_id"].combine_chunks().to_numpy(
+                zero_copy_only=False)[per["p"].to_numpy(np.int64)]
+            return _score_table(ids, per["sum_fp"].to_numpy(np.int64),
+                                per["nb"].to_numpy(np.int64))
 
-            def __call__(self, t: pa.Table) -> pa.Table:
-                g = _doc_bigram_counts(t)
-                if g.empty:
-                    return empty
-                g = g.merge(self.model, on=["w1", "w2"])  # model ⊇ corpus
-                g["contrib"] = g["fp"].to_numpy(np.int64) * \
-                    g["k"].to_numpy(np.int64)
-                per = (g.groupby("p", sort=False)
-                       .agg(sum_fp=("contrib", "sum"), nb=("k", "sum"))
-                       .reset_index())
-                ids = t["doc_id"].combine_chunks().to_numpy(
-                    zero_copy_only=False)[per["p"].to_numpy(np.int64)]
-                return _score_table(ids, per["sum_fp"].to_numpy(np.int64),
-                                    per["nb"].to_numpy(np.int64))
-
-        return ds.map_batches(LMScan, batch_format="pyarrow",
-                              batch_size=65536, concurrency=(1, 4))
+        return ds.map_batches(lm_scan, batch_format="pyarrow",
+                              batch_size=65536,
+                              fn_kwargs={"model_ref": ray.put(model)})
 
     # scale path: distinct-key hash joins + per-doc re-aggregation
     def doc_bigrams(t: pa.Table) -> pa.Table:
@@ -2163,24 +2136,20 @@ def q_zscore_by_group(sf_dir: str):
     std = np.sqrt(sq / n - mean * mean)  # the oracle's exact tree
     model = pd.DataFrame({"source": stats["source"], "mean": mean,
                           "std": std})[std > 0]
-    model_ref = ray.put(model)
 
-    class ZScore:
-        def __init__(self):
-            self.model = ray.get(model_ref)
+    def zscore(df: pd.DataFrame, model: pd.DataFrame) -> pd.DataFrame:
+        m = df.merge(model, on="source")  # drops zero-var groups
+        z = (m["n_chars"].to_numpy().astype(np.float64)
+             - m["mean"].to_numpy()) / m["std"].to_numpy()
+        return pd.DataFrame({
+            "doc_id": m["doc_id"].astype("int64"),
+            "source": m["source"],
+            "n_chars": m["n_chars"].astype("int64"),
+            "z": z})
 
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            m = df.merge(self.model, on="source")  # drops zero-var groups
-            z = (m["n_chars"].to_numpy().astype(np.float64)
-                 - m["mean"].to_numpy()) / m["std"].to_numpy()
-            return pd.DataFrame({
-                "doc_id": m["doc_id"].astype("int64"),
-                "source": m["source"],
-                "n_chars": m["n_chars"].astype("int64"),
-                "z": z})
-
-    return ds.map_batches(ZScore, batch_format="pandas",
-                          batch_size=65536, concurrency=(1, 4))
+    # ≤ #sources rows: the model rides in each task's fn_kwargs
+    return ds.map_batches(zscore, batch_format="pandas", batch_size=65536,
+                          fn_kwargs={"model": model})
 
 
 def q_full_join(sf_dir: str):
@@ -3524,31 +3493,28 @@ def q_decontaminate(sf_dir: str):
     bench_parts = ds.map_batches(bench_partial, batch_format="pyarrow",
                                  batch_size=65536).take_all()
     bench_set = pa.array(sorted({r["s"] for r in bench_parts}), pa.string())
-    bench_ref = ray.put(bench_set)
 
-    class ScanContaminated:
-        def __init__(self):
-            self.bench = ray.get(bench_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            keep = pc.invert(_is_bench(t))
-            sh = shingle_lists(t.filter(keep))
-            if not len(sh):
-                return pa.table({"doc_id": pa.array([], pa.int64()),
-                                 "n_hits": pa.array([], pa.int64())})
-            sh = sh.drop_duplicates()  # distinct (doc, shingle)
-            hit = pc.is_in(pa.array(sh["s"], pa.string()),
-                           value_set=self.bench).to_pandas()
-            c = sh.loc[hit.values].groupby("doc", sort=False).size()
-            return pa.table({"doc_id": pa.array(c.index, pa.int64()),
-                             "n_hits": pa.array(c.values, pa.int64())})
+    def scan_contaminated(t: pa.Table, bench_ref) -> pa.Table:
+        keep = pc.invert(_is_bench(t))
+        sh = shingle_lists(t.filter(keep))
+        if not len(sh):
+            return pa.table({"doc_id": pa.array([], pa.int64()),
+                             "n_hits": pa.array([], pa.int64())})
+        sh = sh.drop_duplicates()  # distinct (doc, shingle)
+        hit = pc.is_in(pa.array(sh["s"], pa.string()),
+                       value_set=worker_state("decontaminate", bench_ref)
+                       ).to_pandas()
+        c = sh.loc[hit.values].groupby("doc", sort=False).size()
+        return pa.table({"doc_id": pa.array(c.index, pa.int64()),
+                         "n_hits": pa.array(c.values, pa.int64())})
 
     # a doc lives wholly in one read block → per-batch counts ARE final
     # (documents.parquet rows are never split mid-doc by map_batches on the
     # doc-sized batches used here); still merge defensively per doc_id in
     # one bucketed pass to stay partition-agnostic
-    parts = ds.map_batches(ScanContaminated, batch_format="pyarrow",
-                           batch_size=65536, concurrency=(1, 2))
+    parts = ds.map_batches(scan_contaminated, batch_format="pyarrow",
+                           batch_size=65536,
+                           fn_kwargs={"bench_ref": ray.put(bench_set)})
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         m = g.groupby("doc_id", sort=False)["n_hits"].sum().reset_index()
@@ -3589,30 +3555,26 @@ def q_decontaminate_fuzzy(sf_dir: str):
                        "n_bench_matches": pa.array([], pa.int64()),
                        "best_bench": pa.array([], pa.int64())})
 
-    class ScanFuzzyContaminated:
-        def __init__(self):
-            self.bands, self.sets = ray.get(idx_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            t = t.filter(pc.invert(_fuzzy_bench_mask(t)))
-            hits = _fuzzy_hits(t, self.bands, self.sets)
-            if not hits:
-                return _EMPTY
-            docs = sorted(hits)
-            return pa.table({
-                "doc_id": pa.array(docs, pa.int64()),
-                "n_bench_matches": pa.array(
-                    [len(hits[d]) for d in docs], pa.int64()),
-                "best_bench": pa.array(
-                    [min(hits[d]) for d in docs], pa.int64()),
-            })
+    def scan_fuzzy(t: pa.Table, idx_ref) -> pa.Table:
+        t = t.filter(pc.invert(_fuzzy_bench_mask(t)))
+        hits = _fuzzy_hits(t, *worker_state("fuzzy_bench", idx_ref))
+        if not hits:
+            return _EMPTY
+        docs = sorted(hits)
+        return pa.table({
+            "doc_id": pa.array(docs, pa.int64()),
+            "n_bench_matches": pa.array(
+                [len(hits[d]) for d in docs], pa.int64()),
+            "best_bench": pa.array(
+                [min(hits[d]) for d in docs], pa.int64()),
+        })
 
     # a doc lives wholly in one read block (same invariant q_decontaminate
     # documents) so per-batch rows are final — no merge pass needed; empty
     # signatures are all-sentinel and thus collide, which is exactly the
     # oracle's fullsigs semantics (empty train text matches empty bench text)
-    return ds.map_batches(ScanFuzzyContaminated, batch_format="pyarrow",
-                          batch_size=65536, concurrency=(1, 4))
+    return ds.map_batches(scan_fuzzy, batch_format="pyarrow",
+                          batch_size=65536, fn_kwargs={"idx_ref": idx_ref})
 
 
 def _fuzzy_bench_mask(t: pa.Table) -> pa.Array:
@@ -3628,9 +3590,8 @@ def _fuzzy_bench_index(ds, sf_dir: str | None = None):
     shingle sketch}). Bench sketches stream out of one pruned scan;
     banding the collected bench table happens driver-side (it is
     eval-set-sized) through the SAME MinHashBander kernel as the corpus —
-    via a LOCAL bander, not band_batch: the cached wrapper would park a
-    DuckDB connection in the driver's _STAGE_CACHE, poisoning any later
-    nested transform that cloudpickles that global by value. Pass sf_dir
+    via a LOCAL bander, not band_batch, so the driver keeps no cached
+    bander (and its DuckDB connection) for the session. Pass sf_dir
     to memoize it (_session_memo) — decontaminate_fuzzy and corpus_prep
     then share ONE bench scan per session instead of one each."""
     if sf_dir is not None:
@@ -3718,7 +3679,7 @@ def q_corpus_prep(sf_dir: str):
     and one narrow hash join against the keeper ids. All filter order is
     conjunctive, so the plan can reorder freely without changing results."""
     from ..functions import textops
-    from ..functions.dedup import _duck_conn, _md5_lower64
+    from ..functions.dedup import _md5_lower64
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     idx_ref = _fuzzy_bench_index(ds, sf_dir)
@@ -3727,37 +3688,31 @@ def q_corpus_prep(sf_dir: str):
                        "n_tokens": pa.array([], pa.int64()),
                        "split": pa.array([], pa.string())})
 
-    class PrepScan:
-        def __init__(self):
-            self.bands, self.sets = ray.get(idx_ref)
-            self.con = _duck_conn()
+    def prep_scan(t: pa.Table, idx_ref) -> pa.Table:
+        t = t.filter(pc.invert(_fuzzy_bench_mask(t)))  # drop bench docs
+        if t.num_rows == 0:
+            return _EMPTY
+        t = textops.add_token_count(t)
+        nt = t["n_tokens"]
+        t = t.filter(pc.and_(pc.greater_equal(nt, 10),
+                             pc.less_equal(nt, 10000)))
+        if t.num_rows == 0:
+            return _EMPTY
+        contaminated = _fuzzy_hits(t, *worker_state("fuzzy_bench", idx_ref))
+        if contaminated:
+            bad = pa.array(sorted(contaminated), pa.int64())
+            t = t.filter(pc.invert(pc.is_in(t["doc_id"], value_set=bad)))
+        ids = pc.cast(t["doc_id"], pa.string()).combine_chunks()
+        split = np.where(_md5_lower64(_worker_duck(), ids) % 10 == 0,
+                         "test", "train")
+        return pa.table({
+            "doc_id": t["doc_id"],
+            "n_tokens": pc.cast(t["n_tokens"], pa.int64()),
+            "split": pa.array(split, pa.string()),
+        })
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            t = t.filter(pc.invert(_fuzzy_bench_mask(t)))  # drop bench docs
-            if t.num_rows == 0:
-                return _EMPTY
-            t = textops.add_token_count(t)
-            nt = t["n_tokens"]
-            t = t.filter(pc.and_(pc.greater_equal(nt, 10),
-                                 pc.less_equal(nt, 10000)))
-            if t.num_rows == 0:
-                return _EMPTY
-            contaminated = _fuzzy_hits(t, self.bands, self.sets)
-            if contaminated:
-                bad = pa.array(sorted(contaminated), pa.int64())
-                t = t.filter(pc.invert(pc.is_in(t["doc_id"],
-                                                value_set=bad)))
-            ids = pc.cast(t["doc_id"], pa.string()).combine_chunks()
-            split = np.where(_md5_lower64(self.con, ids) % 10 == 0,
-                             "test", "train")
-            return pa.table({
-                "doc_id": t["doc_id"],
-                "n_tokens": pc.cast(t["n_tokens"], pa.int64()),
-                "split": pa.array(split, pa.string()),
-            })
-
-    prepped = ds.map_batches(PrepScan, batch_format="pyarrow",
-                             batch_size=65536, concurrency=(1, 4))
+    prepped = ds.map_batches(prep_scan, batch_format="pyarrow",
+                             batch_size=65536, fn_kwargs={"idx_ref": idx_ref})
 
     # keeper semi-join: narrow (doc_id) keeper ids from the shared
     # clustering artifact via the native hash join (dedup_keep_best shape)
@@ -3990,32 +3945,25 @@ def q_validate(sf_dir: str):
         pq.read_table(os.path.join(sf_dir, "customer.parquet"),
                       columns=["c_custkey"])["c_custkey"].combine_chunks()
     )
-    ref = ray.put(ckeys)
     ds = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
 
-    class Validate:
-        def __init__(self):
-            self.keys = ray.get(ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            ks = pc.cast(self.keys, t["o_custkey"].type)
-            null_key = pc.is_null(t["o_custkey"])
-            orphan = pc.and_(pc.invert(null_key),
-                             pc.invert(pc.is_in(t["o_custkey"],
-                                                value_set=ks)))
-            bad_price = pc.less_equal(pc.fill_null(t["o_totalprice"], 0.0),
-                                      0.0)
-            return pa.table(
-                {
-                    "p_rows": pa.array([t.num_rows], pa.int64()),
-                    "p_null_key": pa.array(
-                        [pc.sum(null_key).as_py() or 0], pa.int64()),
-                    "p_orphan": pa.array(
-                        [pc.sum(orphan).as_py() or 0], pa.int64()),
-                    "p_bad_price": pa.array(
-                        [pc.sum(bad_price).as_py() or 0], pa.int64()),
-                }
-            )
+    def validate(t: pa.Table, keys_ref) -> pa.Table:
+        ks = pc.cast(worker_state("validate", keys_ref), t["o_custkey"].type)
+        null_key = pc.is_null(t["o_custkey"])
+        orphan = pc.and_(pc.invert(null_key),
+                         pc.invert(pc.is_in(t["o_custkey"], value_set=ks)))
+        bad_price = pc.less_equal(pc.fill_null(t["o_totalprice"], 0.0), 0.0)
+        return pa.table(
+            {
+                "p_rows": pa.array([t.num_rows], pa.int64()),
+                "p_null_key": pa.array(
+                    [pc.sum(null_key).as_py() or 0], pa.int64()),
+                "p_orphan": pa.array(
+                    [pc.sum(orphan).as_py() or 0], pa.int64()),
+                "p_bad_price": pa.array(
+                    [pc.sum(bad_price).as_py() or 0], pa.int64()),
+            }
+        )
 
     def final(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -4028,8 +3976,8 @@ def q_validate(sf_dir: str):
         )
 
     return (
-        ds.map_batches(Validate, batch_format="pyarrow", batch_size=65536,
-                       concurrency=(1, 2))
+        ds.map_batches(validate, batch_format="pyarrow", batch_size=65536,
+                       fn_kwargs={"keys_ref": ray.put(ckeys)})
         .repartition(1)
         .map_batches(final, batch_format="pandas", batch_size=None)
     )
@@ -4038,35 +3986,29 @@ def q_validate(sf_dir: str):
 def q_multi_join(sf_dir: str):
     """Chained mixed-strategy join (TPC-H Q5 shape): revenue per nation =
     orders ⋈ customer ⋈ nation. Strategy per edge chosen by side size —
-    nation (25 rows) broadcasts into the customer scan as a vectorized
-    pandas .map; the orders⋈customer edge is a genuine two-large-sides
+    nation (25 rows) rides in the customer scan's fn_kwargs as an Arrow
+    index_in lookup; the orders⋈customer edge is a genuine two-large-sides
     Ray hash join; a partial+final aggregate finishes. The planner rule a
     user applies at 100 TB: broadcast every dimension-sized side, shuffle
     only fact⋈fact edges."""
     nat = pq.read_table(os.path.join(sf_dir, "nation.parquet"),
                         columns=["n_nationkey", "n_name"])
-    nref = ray.put(dict(zip(nat["n_nationkey"].to_pylist(),
-                            nat["n_name"].to_pylist())))
+    nk2name = dict(zip(nat["n_nationkey"].to_pylist(),
+                       nat["n_name"].to_pylist()))
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
 
-    class AddNation:
-        def __init__(self):
-            d = ray.get(nref)
-            self.keys = pa.array(list(d.keys()))
-            self.names = pa.array(list(d.values()), pa.string())
+    def add_nation(t: pa.Table, keys: pa.Array, names: pa.Array) -> pa.Table:
+        # Arrow-native broadcast lookup (a pandas .map here would hand
+        # the join metadata-bearing pandas-block schemas — the
+        # unhashable-schema warning — and cost a format round-trip)
+        idx = pc.index_in(t["c_nationkey"],
+                          value_set=pc.cast(keys, t["c_nationkey"].type))
+        return pa.table({"c_custkey": t["c_custkey"],
+                         "n_name": pc.take(names, idx)})
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            # Arrow-native broadcast lookup (a pandas .map here would hand
-            # the join metadata-bearing pandas-block schemas — the
-            # unhashable-schema warning — and cost a format round-trip)
-            idx = pc.index_in(t["c_nationkey"],
-                              value_set=pc.cast(self.keys,
-                                                t["c_nationkey"].type))
-            return pa.table({"c_custkey": t["c_custkey"],
-                             "n_name": pc.take(self.names, idx)})
-
-    cust_n = cust.map_batches(AddNation, batch_format="pyarrow",
-                              concurrency=(1, 2))
+    cust_n = cust.map_batches(add_nation, batch_format="pyarrow", fn_kwargs={
+        "keys": pa.array(list(nk2name.keys())),
+        "names": pa.array(list(nk2name.values()), pa.string())})
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     joined = orders.join(cust_n, join_type="inner",
                          num_partitions=_join_partitions(),
@@ -4092,8 +4034,8 @@ def q_multimodal_meta(sf_dir: str):
     """Multimodal-column plumbing under the driver gate with an EXACT
     oracle: documents.text becomes an opaque ``binary`` payload column
     (the functions/multimodal.py MEDIA_SCHEMA idiom — UTF-8 bytes here;
-    images/audio are the same shape with undecodable bytes), then an
-    actor-pool metadata stage extracts integer stats per payload: byte
+    images/audio are the same shape with undecodable bytes), then a
+    metadata stage extracts integer stats per payload: byte
     length and a 32-bit md5 prefix. Both are functions of the raw BYTES,
     so DuckDB mirrors them exactly (octet_length(encode(text)), md5) for
     ANY text; small batch_size because binary rows are wide — the same
@@ -4106,29 +4048,20 @@ def q_multimodal_meta(sf_dir: str):
              "payload": pc.cast(pc.fill_null(t["text"], ""), pa.binary())}
         )
 
-    class MetaExtract:
-        """Per-actor state (the hasher constructor) initialized once, like
-        the model-loading decoders; __call__ handles one Arrow batch."""
-
-        def __init__(self):
-            self.md5 = hashlib.md5
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            pays = t["payload"].to_pylist()
-            h32 = [int(self.md5(p).hexdigest()[:8], 16) for p in pays]
-            return pa.table(
-                {
-                    "doc_id": t["doc_id"],
-                    "n_bytes": pc.cast(pc.binary_length(t["payload"]),
-                                       pa.int64()),
-                    "h32": pa.array(h32, pa.int64()),
-                }
-            )
+    def meta_extract(t: pa.Table) -> pa.Table:
+        pays = t["payload"].to_pylist()
+        h32 = [int(hashlib.md5(p).hexdigest()[:8], 16) for p in pays]
+        return pa.table(
+            {
+                "doc_id": t["doc_id"],
+                "n_bytes": pc.cast(pc.binary_length(t["payload"]), pa.int64()),
+                "h32": pa.array(h32, pa.int64()),
+            }
+        )
 
     return (
         ds.map_batches(to_payload, batch_format="pyarrow", batch_size=4096)
-        .map_batches(MetaExtract, batch_format="pyarrow", batch_size=1024,
-                     concurrency=(1, 2))
+        .map_batches(meta_extract, batch_format="pyarrow", batch_size=1024)
     )
 
 
@@ -4382,23 +4315,20 @@ def q_train_test_split(sf_dir: str):
     is combiner-first (per-batch pandas partials, one tiny groupby)."""
     ds = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
 
-    class SplitCounter:
-        def __init__(self):
-            import duckdb
+    def split_counts(t: pa.Table) -> pa.Table:
+        con = _worker_duck()
+        con.register("b", t)
+        out = con.execute(
+            "select case when md5_number_lower(cast(doc_id as varchar))"
+            " % 10 = 0 then 'test' else 'train' end as split, lang,"
+            " count(*) as p_docs, cast(sum(n_chars) as bigint) as p_chars"
+            " from b group by 1, 2"
+        ).arrow()
+        con.unregister("b")
+        return out
 
-            self.con = duckdb.connect()
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            self.con.register("b", t)
-            return self.con.execute(
-                "select case when md5_number_lower(cast(doc_id as varchar))"
-                " % 10 = 0 then 'test' else 'train' end as split, lang,"
-                " count(*) as p_docs, cast(sum(n_chars) as bigint) as p_chars"
-                " from b group by 1, 2"
-            ).arrow()
-
-    parts = ds.map_batches(SplitCounter, batch_format="pyarrow",
-                           batch_size=65536, concurrency=(1, 2))
+    parts = ds.map_batches(split_counts, batch_format="pyarrow",
+                           batch_size=65536)
     return (parts.groupby(["split", "lang"])
             .aggregate(Sum("p_docs", alias_name="n_docs"),
                        Sum("p_chars", alias_name="sum_chars")))
@@ -4662,30 +4592,28 @@ def q_semantic_dedup(sf_dir: str):
         return rd.from_arrow(pa.table({
             "vec_id": pa.array([], pa.int64()),
             "cluster": pa.array([], pa.int64())}))
-    c_ref = ray.put((C, c_zero))
 
-    class AssignKeepVec:
-        def __init__(self):
-            self.C, self.c_zero = ray.get(c_ref)  # once per actor
+    def assign_keep_vec(t: pa.Table, C: np.ndarray,
+                        c_zero: np.ndarray) -> pa.Table:
+        X = _to_matrix(t["embedding"], dim=C.shape[1])
+        xnorm = np.linalg.norm(X, axis=1, keepdims=True)
+        Xn = X / np.maximum(xnorm, 1e-30)
+        sims = Xn @ C.T
+        # DuckDB list_cosine_similarity zero-vector convention (= -1.0)
+        # on both sides, same as q_kmeans_assign
+        sims[:, c_zero] = -1.0
+        sims[(xnorm <= 1e-30).reshape(-1), :] = -1.0
+        cluster = np.argmax(sims, axis=1)  # first max = min j
+        return pa.table({
+            "vec_id": t["vec_id"],
+            "cluster": pa.array(cluster, pa.int64()),
+            "embedding": t["embedding"],
+        })
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            X = _to_matrix(t["embedding"], dim=self.C.shape[1])
-            xnorm = np.linalg.norm(X, axis=1, keepdims=True)
-            Xn = X / np.maximum(xnorm, 1e-30)
-            sims = Xn @ self.C.T
-            # DuckDB list_cosine_similarity zero-vector convention (= -1.0)
-            # on both sides, same as q_kmeans_assign
-            sims[:, self.c_zero] = -1.0
-            sims[(xnorm <= 1e-30).reshape(-1), :] = -1.0
-            cluster = np.argmax(sims, axis=1)  # first max = min j
-            return pa.table({
-                "vec_id": t["vec_id"],
-                "cluster": pa.array(cluster, pa.int64()),
-                "embedding": t["embedding"],
-            })
-
-    assigned = ds.map_batches(AssignKeepVec, batch_format="pyarrow",
-                              batch_size=4096, concurrency=(1, 2))
+    # K centroids: the matrix rides in each task's fn_kwargs
+    assigned = ds.map_batches(assign_keep_vec, batch_format="pyarrow",
+                              batch_size=4096,
+                              fn_kwargs={"C": C, "c_zero": c_zero})
 
     emb_dim = C.shape[1]
 
@@ -4751,46 +4679,44 @@ def q_knn_join(sf_dir: str):
     qnorm = np.linalg.norm(Q, axis=1, keepdims=True)
     q_zero = (qnorm <= 1e-30).reshape(-1)
     Qn = Q / np.maximum(qnorm, 1e-30)
-    q_ref = ray.put((q_ids, Qn, q_zero))
 
-    class PartialTopK:
-        def __init__(self):
-            self.q_ids, self.Qn, self.q_zero = ray.get(q_ref)
+    def partial_topk(t: pa.Table, q_ref) -> pa.Table:
+        q_ids, Qn, q_zero = worker_state("knn_join", q_ref)
+        X = _to_matrix(t["embedding"], dim=Qn.shape[1])
+        xnorm = np.linalg.norm(X, axis=1, keepdims=True)
+        Xn = X / np.maximum(xnorm, 1e-30)
+        x_zero = (xnorm <= 1e-30).reshape(-1)
+        ids = t["vec_id"].to_numpy(zero_copy_only=False)
+        out_q, out_n, out_s = [], [], []
+        for c0 in range(0, len(q_ids), KNN_QUERY_CHUNK):
+            c1 = min(c0 + KNN_QUERY_CHUNK, len(q_ids))
+            sims = Xn @ Qn[c0:c1].T  # (B, ≤chunk) slab
+            sims[x_zero, :] = -1.0
+            sims[:, q_zero[c0:c1]] = -1.0
+            for jj in range(c1 - c0):
+                j = c0 + jj
+                col = sims[:, jj].copy()
+                col[ids == q_ids[j]] = -np.inf  # self-exclusion
+                k = min(KNN_K, len(col))
+                # top-k by (sim desc, vec_id asc), batch-local partial
+                top = np.lexsort((ids, -col))[:k]
+                top = top[col[top] > -np.inf]
+                out_q.append(np.full(len(top), q_ids[j]))
+                out_n.append(ids[top])
+                out_s.append(col[top])
+        return pa.table({
+            "q_id": pa.array(np.concatenate(out_q) if out_q else [],
+                             pa.int64()),
+            "n_id": pa.array(np.concatenate(out_n) if out_n else [],
+                             pa.int64()),
+            "sim": pa.array(np.concatenate(out_s) if out_s else [],
+                            pa.float64()),
+        })
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            X = _to_matrix(t["embedding"], dim=self.Qn.shape[1])
-            xnorm = np.linalg.norm(X, axis=1, keepdims=True)
-            Xn = X / np.maximum(xnorm, 1e-30)
-            x_zero = (xnorm <= 1e-30).reshape(-1)
-            ids = t["vec_id"].to_numpy(zero_copy_only=False)
-            out_q, out_n, out_s = [], [], []
-            for c0 in range(0, len(self.q_ids), KNN_QUERY_CHUNK):
-                c1 = min(c0 + KNN_QUERY_CHUNK, len(self.q_ids))
-                sims = Xn @ self.Qn[c0:c1].T  # (B, ≤chunk) slab
-                sims[x_zero, :] = -1.0
-                sims[:, self.q_zero[c0:c1]] = -1.0
-                for jj in range(c1 - c0):
-                    j = c0 + jj
-                    col = sims[:, jj].copy()
-                    col[ids == self.q_ids[j]] = -np.inf  # self-exclusion
-                    k = min(KNN_K, len(col))
-                    # top-k by (sim desc, vec_id asc), batch-local partial
-                    top = np.lexsort((ids, -col))[:k]
-                    top = top[col[top] > -np.inf]
-                    out_q.append(np.full(len(top), self.q_ids[j]))
-                    out_n.append(ids[top])
-                    out_s.append(col[top])
-            return pa.table({
-                "q_id": pa.array(np.concatenate(out_q) if out_q else [],
-                                 pa.int64()),
-                "n_id": pa.array(np.concatenate(out_n) if out_n else [],
-                                 pa.int64()),
-                "sim": pa.array(np.concatenate(out_s) if out_s else [],
-                                pa.float64()),
-            })
-
-    partials = ds.map_batches(PartialTopK, batch_format="pyarrow",
-                              batch_size=4096, concurrency=(1, 2))
+    # the query side grows with the corpus (2 %): a ref, read once per worker
+    partials = ds.map_batches(partial_topk, batch_format="pyarrow",
+                              batch_size=4096, fn_kwargs={
+                                  "q_ref": ray.put((q_ids, Qn, q_zero))})
 
     def final_topk(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["sim", "n_id"], ascending=[False, True],

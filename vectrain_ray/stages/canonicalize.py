@@ -208,6 +208,8 @@ def _apply_union_find(mapping_ds, pairs: list[tuple[str, str]]):
     """
     import ray
 
+    from ..functions.dedup import worker_state
+
     touched = {n for p in pairs for n in p}
     rep = (
         mapping_ds.map_batches(
@@ -238,21 +240,18 @@ def _apply_union_find(mapping_ds, pairs: list[tuple[str, str]]):
             remap[e] = (new_eid, name[winner])
     if not remap:
         return mapping_ds
-    remap_ref = ray.put(remap)
 
-    class Remap:
-        def __init__(self):
-            self.remap = ray.get(remap_ref)
+    def apply_remap(t: pa.Table, remap_ref) -> pa.Table:
+        remap = worker_state("remap", remap_ref)
+        eids = t["entity_id"].to_pylist()
+        names = t["canonical_name"].to_pylist()
+        for i, e in enumerate(eids):
+            if e in remap:
+                eids[i], names[i] = remap[e]
+        t = t.set_column(t.schema.get_field_index("entity_id"), "entity_id",
+                         pa.array(eids, pa.string()))
+        return t.set_column(t.schema.get_field_index("canonical_name"),
+                            "canonical_name", pa.array(names, pa.string()))
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            eids = t["entity_id"].to_pylist()
-            names = t["canonical_name"].to_pylist()
-            for i, e in enumerate(eids):
-                if e in self.remap:
-                    eids[i], names[i] = self.remap[e]
-            t = t.set_column(t.schema.get_field_index("entity_id"), "entity_id",
-                             pa.array(eids, pa.string()))
-            return t.set_column(t.schema.get_field_index("canonical_name"),
-                                "canonical_name", pa.array(names, pa.string()))
-
-    return mapping_ds.map_batches(Remap, batch_format="pyarrow", concurrency=2)
+    return mapping_ds.map_batches(apply_remap, batch_format="pyarrow",
+                                  fn_kwargs={"remap_ref": ray.put(remap)})

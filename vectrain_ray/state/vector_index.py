@@ -40,7 +40,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from ..functions.similarity import IVFAssigner, _to_matrix, train_centroids
+from ..functions.similarity import _to_matrix, ivf_assign, train_centroids
 
 _GEN_COL = "__gen"
 
@@ -53,14 +53,11 @@ def build_ivf_index(
     sample_size: int = 4096,
     id_col: str = "vec_id",
     vec_col: str = "embedding",
-    concurrency: int = 2,
     seed: int = 42,
 ) -> str:
     """Build (or rebuild) the index artifact from a Dataset of
     (id_col, vec_col). Returns index_dir."""
     import shutil
-
-    import ray
 
     if os.path.exists(index_dir):
         shutil.rmtree(index_dir)
@@ -81,15 +78,10 @@ def build_ivf_index(
         raise ValueError("cannot build an IVF index over an empty dataset")
     cents = train_centroids(sample, n_centroids=n_centroids, seed=seed)
     np.save(os.path.join(index_dir, "centroids.npy"), cents)
-    centroids_ref = ray.put(cents)
 
     assigned = ds.select_columns([id_col, vec_col]).map_batches(
-        IVFAssigner,
-        fn_constructor_kwargs={"centroids_ref": centroids_ref,
-                               "vec_col": vec_col},
-        batch_format="pyarrow",
-        batch_size=4096,
-        concurrency=concurrency,
+        ivf_assign, fn_kwargs={"cents": cents, "vec_col": vec_col},
+        batch_format="pyarrow", batch_size=4096,
     ).map_batches(
         lambda t: t.append_column(_GEN_COL,
                                   pa.array([0] * t.num_rows, pa.int64())),
@@ -135,15 +127,12 @@ def _load_meta(index_dir: str) -> dict:
     return json.load(open(os.path.join(index_dir, "meta.json")))
 
 
-def upsert_ivf_index(ds, index_dir: str, concurrency: int = 2) -> int:
+def upsert_ivf_index(ds, index_dir: str) -> int:
     """Idempotent upsert: assign new vectors to the EXISTING centroids and
     append them to the cell partitions under a new generation number; query
     keeps the latest generation per id. Returns the new generation."""
-    import ray
-
     meta = _load_meta(index_dir)
     cents = np.load(os.path.join(index_dir, "centroids.npy"))
-    centroids_ref = ray.put(cents)
     # next generation = 1 + max generation OBSERVED ON DISK, not meta's:
     # a crash after the file writes but before the meta rewrite must not
     # reuse the half-written generation number on retry
@@ -151,12 +140,8 @@ def upsert_ivf_index(ds, index_dir: str, concurrency: int = 2) -> int:
     id_col, vec_col = meta["id_col"], meta["vec_col"]
 
     assigned = ds.select_columns([id_col, vec_col]).map_batches(
-        IVFAssigner,
-        fn_constructor_kwargs={"centroids_ref": centroids_ref,
-                               "vec_col": vec_col},
-        batch_format="pyarrow",
-        batch_size=4096,
-        concurrency=concurrency,
+        ivf_assign, fn_kwargs={"cents": cents, "vec_col": vec_col},
+        batch_format="pyarrow", batch_size=4096,
     ).map_batches(
         lambda t: t.append_column(_GEN_COL,
                                   pa.array([gen] * t.num_rows, pa.int64())),
